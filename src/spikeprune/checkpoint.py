@@ -18,6 +18,8 @@ order are canonical.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -43,23 +45,33 @@ def save(path, arrays: dict, meta: dict):
 
 
 def load(path):
-    """Returns (arrays, meta)."""
+    """Returns (arrays, meta); ValueError naming the path and byte offset if
+    the file ends before a field it declares."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def take(n: int) -> bytes:
+            at = f.tell()
+            if n > size - at:
+                raise ValueError(f"{path}: truncated checkpoint: {n} bytes needed at "
+                                 f"byte offset {at}, {size - at} left")
+            return f.read(n)
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
         magic = f.read(5)
         if magic != MAGIC:
             raise ValueError(f"{path}: not a spikeprune checkpoint (magic {magic!r})")
-        (meta_len,) = struct.unpack("<Q", f.read(8))
-        meta = json.loads(f.read(meta_len).decode("utf-8"))
-        (n_entries,) = struct.unpack("<Q", f.read(8))
+        (meta_len,) = unpack("<Q")
+        meta = json.loads(take(meta_len).decode("utf-8"))
+        (n_entries,) = unpack("<Q")
         arrays = {}
         for _ in range(n_entries):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim)) if ndim else ()
-            count = 1
-            for d in shape:
-                count *= d
-            data = np.frombuffer(f.read(8 * count), dtype="<f8").astype(np.float64)
-            arrays[name] = data.reshape(shape)
+            (name_len,) = unpack("<I")
+            name = take(name_len).decode("utf-8")
+            (ndim,) = unpack("<I")
+            shape = unpack(f"<{ndim}Q")
+            data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+            arrays[name] = data.astype(np.float64).reshape(shape)
     return arrays, meta

@@ -44,7 +44,7 @@ from .train import (
     save_run_state,
     write_csv,
 )
-from .unstructured import SparsitySchedule, prune_loop
+from .unstructured import SparsitySchedule, prune_loop, sparsity
 
 PACKAGE_ERRORS = (ConfigError, ValueError, RuntimeError, ArithmeticError, OSError)
 
@@ -71,14 +71,12 @@ def _make_spec(cfg: ExperimentConfig):
                     kernel=cfg.kernel, pool=cfg.pool, t_steps=cfg.T, lif=lif)
 
 
-def _train_cfg(cfg: ExperimentConfig, epochs: int, mode: str,
-               lambda_l1: float = 0.0) -> TrainConfig:
+def _train_cfg(cfg: ExperimentConfig, epochs: int, mode: str) -> TrainConfig:
     return TrainConfig(
         lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.wd,
         batch_size=cfg.batch_size, epochs=epochs,
         lr_schedule=cfg.schedule_kind(mode),
         lr_drop_epochs=(cfg.N_1, cfg.N_2),
-        lambda_l1=lambda_l1, seed=cfg.seed,
     )
 
 
@@ -104,7 +102,7 @@ def cmd_train(args) -> int:
     save_run_state(
         os.path.join(out, "checkpoint.ckpt"), net,
         meta_extra={"kind": "dense", "config": cfg.to_dict(), "epochs_done": cfg.epochs},
-        trainer=trainer, rng=rng,
+        rng=rng,
     )
     print(f"train: {cfg.epochs} epochs, final test acc "
           f"{rows[-1][5]:.4f}, artifacts in {out}")
@@ -161,20 +159,20 @@ def cmd_prune_unstructured(args) -> int:
         hist_arrays[f"it{i:04d}.post_prune"] = post_prune.astype(np.float64)
         hist_arrays[f"it{i:04d}.post_regen"] = post_regen.astype(np.float64)
     checkpoint.save(os.path.join(out, "mask_history.ckpt"), hist_arrays,
-                    {"iterations": len(res.mask_history), "total": res.mask.total})
+                    {"iterations": len(res.mask_history), "total": res.mask.size})
 
-    report = survival_report(res.ledger, res.mask.flat().astype(bool))
+    report = survival_report(res.ledger, res.mask)
     with open(os.path.join(out, "survival.json"), "w", encoding="utf-8") as f:
         json.dump(report, f, sort_keys=True, indent=2)
 
     save_run_state(
         os.path.join(out, "checkpoint_final.ckpt"), net,
         meta_extra={"kind": "unstructured", "config": cfg.to_dict(),
-                    "sparsity": res.mask.sparsity(),
+                    "sparsity": sparsity(res.mask),
                     "survived_via_regeneration": report["survived_via_regeneration"]},
-        trainer=trainer, masks=res.mask.masks, rng=rng,
+        mask=res.mask, rng=rng,
     )
-    print(f"prune-unstructured: sparsity {res.mask.sparsity():.6f}, "
+    print(f"prune-unstructured: sparsity {sparsity(res.mask):.6f}, "
           f"final test acc {res.epoch_rows[-1][5]:.4f}, artifacts in {out}")
     return 0
 
@@ -186,7 +184,7 @@ def cmd_prune_structured(args) -> int:
 
     def make_trainer(network, epochs):
         return Trainer(network, data,
-                       _train_cfg(cfg, epochs, "structured", lambda_l1=cfg.s), rng)
+                       _train_cfg(cfg, epochs, "structured"), rng)
 
     res = structured_pipeline(
         net, make_trainer, train_epochs=cfg.N_t, finetune_epochs=cfg.N_f,

@@ -177,6 +177,8 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"key {key!r}: must be >= 0, got {getattr(cfg, key)}")
     if cfg.r >= 0 and not cfg.r < 1.0:
         raise ConfigError(f"key 'r': must be in [0, 1), got {cfg.r}")
+    if cfg.s < 0:
+        raise ConfigError(f"key 's': must be >= 0, got {cfg.s}")
     if not 0.0 <= cfg.percent < 1.0:
         raise ConfigError(f"key 'percent': must be in [0, 1), got {cfg.percent}")
     if cfg.delta_t <= 0:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, StateError
+from .network import WEIGHTED_KINDS
 
 AGGREGATIONS = ("max", "mean")
 
@@ -63,7 +64,7 @@ class CriticalityTable:
 
     Accumulation weights each batch by its sample count, so any partition of
     the same samples into batches finalizes to the same scores (within fp
-    roundoff). Tables built on disjoint sample sets can be merged by summing.
+    roundoff).
     """
 
     def __init__(self):
@@ -81,15 +82,6 @@ class CriticalityTable:
             else:
                 self._sum[key] = add.copy()
                 self._count[key] = batch.count
-
-    def merge(self, other: "CriticalityTable"):
-        for key, s in other._sum.items():
-            if key in self._sum:
-                self._sum[key] += s
-                self._count[key] += other._count[key]
-            else:
-                self._sum[key] = s.copy()
-                self._count[key] = other._count[key]
 
     def finalize(self) -> dict:
         if not self._sum:
@@ -134,27 +126,29 @@ def head_connection_scores(unit_scores: np.ndarray, weight_shape: tuple) -> np.n
     return np.broadcast_to(per_feature, weight_shape).copy()
 
 
-def network_connection_scores(net, finalized: dict) -> dict:
-    """Per-weight criticality for every prunable tensor of a network.
+def network_connection_scores(net, finalized: dict) -> np.ndarray:
+    """Per-weight criticality over the network's flat prunable index space.
 
     Hidden layers broadcast their post-synaptic unit scores; the head falls
     back to pre-synaptic scores (or 0 when no spiking layer precedes it).
     """
-    out = {}
-    for name, w in net.prunable().items():
-        idx = int(name.split(".")[1])
+    out = []
+    for idx, layer in enumerate(net.layers):
+        if layer.kind not in WEIGHTED_KINDS:
+            continue
         lif = net.scoring_lif(idx)
+        prev = [j for j in range(idx) if net.layers[j].kind == "lif"]
         if lif is not None:
             if lif not in finalized:
-                raise StateError(f"{name}: criticality table has no scores for LIF layer {lif}")
-            out[name] = connection_scores(finalized[lif], w.shape)
-            continue
-        prev = [j for j in range(idx) if net.layers[j].kind == "lif"]
-        if prev and prev[-1] in finalized:
-            out[name] = head_connection_scores(finalized[prev[-1]], w.shape)
+                raise StateError(f"layers.{idx}.weight: criticality table has no "
+                                 f"scores for LIF layer {lif}")
+            scores = connection_scores(finalized[lif], layer.weight.shape)
+        elif prev and prev[-1] in finalized:
+            scores = head_connection_scores(finalized[prev[-1]], layer.weight.shape)
         else:
-            out[name] = np.zeros(w.shape)
-    return out
+            scores = np.zeros(layer.weight.shape)
+        out.append(scores.ravel())
+    return np.concatenate(out)
 
 
 def scores_to_rows(finalized: dict):

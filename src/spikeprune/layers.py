@@ -83,15 +83,12 @@ class LIFState:
 
 
 class Layer:
-    """Base layer: forward caches whatever backward needs; params/grads are name -> array."""
+    """Base layer: forward caches whatever backward needs. Each of param_names
+    is an array attribute with its gradient in "d" + name; backward writes
+    gradients in place, so a network can rebind both to views of its arenas."""
 
     kind = "layer"
-
-    def params(self) -> dict:
-        return {}
-
-    def grads(self) -> dict:
-        return {}
+    param_names = ()
 
     def forward(self, xs: np.ndarray, training: bool) -> np.ndarray:
         raise NotImplementedError
@@ -102,6 +99,7 @@ class Layer:
 
 class Linear(Layer):
     kind = "linear"
+    param_names = ("weight", "bias")
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.in_features = in_features
@@ -110,15 +108,9 @@ class Linear(Layer):
         std = np.sqrt(2.0 / in_features)
         self.weight = rng.normal(0.0, std, size=(out_features, in_features))
         self.bias = np.zeros(out_features)
-        self.dweight = None
-        self.dbias = None
+        self.dweight = np.zeros_like(self.weight)
+        self.dbias = np.zeros_like(self.bias)
         self._x = None
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def grads(self):
-        return {"weight": self.dweight, "bias": self.dbias}
 
     def forward(self, xs, training):
         t, n = xs.shape[:2]
@@ -137,8 +129,8 @@ class Linear(Layer):
         t, n = gys.shape[:2]
         gflat = gys.reshape(t * n, self.out_features)
         gx, gw_t = ops.matmul_grad(gflat, self._x, self.weight.T)
-        self.dweight = gw_t.T
-        self.dbias = gflat.sum(axis=0)
+        self.dweight[...] = gw_t.T
+        self.dbias[...] = gflat.sum(axis=0)
         return gx.reshape(t, n, self.in_features)
 
 
@@ -146,6 +138,7 @@ class Conv2d(Layer):
     """3x3-style conv block member; no bias (batch norm follows)."""
 
     kind = "conv"
+    param_names = ("weight",)
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int, padding: int, rng: np.random.Generator):
@@ -157,14 +150,8 @@ class Conv2d(Layer):
         fan_in = in_channels * kernel * kernel
         std = np.sqrt(2.0 / fan_in)
         self.weight = rng.normal(0.0, std, size=(out_channels, in_channels, kernel, kernel))
-        self.dweight = None
+        self.dweight = np.zeros_like(self.weight)
         self._x = None
-
-    def params(self):
-        return {"weight": self.weight}
-
-    def grads(self):
-        return {"weight": self.dweight}
 
     def forward(self, xs, training):
         t, n = xs.shape[:2]
@@ -178,7 +165,8 @@ class Conv2d(Layer):
             raise StateError("conv backward before forward")
         t, n = gys.shape[:2]
         gflat = gys.reshape((t * n,) + gys.shape[2:])
-        gx, self.dweight = ops.conv2d_grad(gflat, self._x, self.weight, self.stride, self.padding)
+        gx, self.dweight[...] = ops.conv2d_grad(gflat, self._x, self.weight, self.stride,
+                                                self.padding)
         return gx.reshape((t, n) + gx.shape[1:])
 
 
@@ -191,6 +179,7 @@ class BatchNorm2d(Layer):
     """
 
     kind = "batchnorm"
+    param_names = ("gamma", "beta")
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
         self.channels = channels
@@ -200,15 +189,9 @@ class BatchNorm2d(Layer):
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.dgamma = None
-        self.dbeta = None
+        self.dgamma = np.zeros(channels)
+        self.dbeta = np.zeros(channels)
         self._cache = None
-
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self):
-        return {"gamma": self.dgamma, "beta": self.dbeta}
 
     def state_arrays(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
@@ -239,8 +222,8 @@ class BatchNorm2d(Layer):
         xhat, inv_std, training, flat_shape = self._cache
         gy = gys.reshape(flat_shape)
         axes = (0, 2, 3)
-        self.dgamma = (gy * xhat).sum(axis=axes)
-        self.dbeta = gy.sum(axis=axes)
+        self.dgamma[...] = (gy * xhat).sum(axis=axes)
+        self.dbeta[...] = gy.sum(axis=axes)
         gxhat = gy * self.gamma[:, None, None]
         if training:
             term = (

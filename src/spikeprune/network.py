@@ -9,6 +9,7 @@ LIF layer (conv layers through a batch-norm).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,8 @@ from .layers import (
 )
 
 WEIGHTED_KINDS = ("conv", "linear")
+# Arena position of each parameter name: weights, then biases, then BN affine.
+_ARENA_RANK = {"weight": 0, "bias": 1, "gamma": 2, "beta": 2}
 
 
 @dataclass(frozen=True)
@@ -165,6 +168,15 @@ def validate_spec(spec: NetworkSpec):
 class SpikingNetwork:
     """A network instance: owns the layer parameters and forward/backward caches.
 
+    All parameters live in one flat float64 arena, `flat`, and their
+    gradients in a second one, `grad`; every layer parameter and gradient
+    attribute is a reshaped view into them. Arena order is conv/linear
+    weights in layer order, then biases, then batch-norm gamma/beta, so the
+    prunable weights are the prefix flat[:n_prunable] (the global pruning
+    index space) and the weight-decayed entries the prefix flat[:n_decayed].
+    Write parameters in place (`layer.gamma[...] = v`): rebinding an
+    attribute detaches it, and parameters() then raises StateError.
+
     Single-writer: forward/backward mutate cached state and must not run
     concurrently on one instance. Read-only evaluation of distinct instances
     is independent.
@@ -193,29 +205,57 @@ class SpikingNetwork:
         )
         self._forward_done = False
         self.features = None
+        self._build_arenas()
+
+    def _build_arenas(self):
+        entries = sorted(((f"layers.{i}.{name}", layer, name)
+                          for i, layer in enumerate(self.layers) for name in layer.param_names),
+                         key=lambda e: _ARENA_RANK[e[2]])
+        arrays = [getattr(layer, name) for _, layer, name in entries]
+        self._shapes = {key: a.shape for (key, _, _), a in zip(entries, arrays)}
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self.grad = np.zeros_like(self.flat)
+        ranks = [(_ARENA_RANK[name], a.size) for (_, _, name), a in zip(entries, arrays)]
+        self.n_prunable = sum(size for rank, size in ranks if rank == 0)
+        self.n_decayed = sum(size for rank, size in ranks if rank < 2)
+        self._params, self._grads = self.split(self.flat), self.split(self.grad)
+        self._owners = {key: (layer, name) for key, layer, name in entries}
+        for key, (layer, name) in self._owners.items():
+            setattr(layer, name, self._params[key])
+            setattr(layer, "d" + name, self._grads[key])
 
     # ---- parameter access -------------------------------------------------
 
     def parameters(self) -> dict:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.params().items():
-                out[f"layers.{i}.{name}"] = arr
-        return out
-
-    def set_parameter(self, name: str, value: np.ndarray):
-        _, idx, pname = name.split(".")
-        layer = self.layers[int(idx)]
-        cur = layer.params()[pname]
-        if cur.shape != value.shape:
-            raise DimensionError(f"{name}: shape {value.shape} != expected {cur.shape}")
-        setattr(layer, pname, np.array(value, dtype=np.float64))
+        """Name -> arena view, in arena order; StateError if a layer attribute
+        (parameter or gradient) was rebound away from its view."""
+        for key, (layer, name) in self._owners.items():
+            if (getattr(layer, name) is not self._params[key]
+                    or getattr(layer, "d" + name) is not self._grads[key]):
+                raise StateError(f"{key} no longer views the parameter arena; "
+                                 f"assign into it with [...] = instead of rebinding")
+        return dict(self._params)
 
     def grads(self) -> dict:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.grads().items():
-                out[f"layers.{i}.{name}"] = arr
+        self.parameters()
+        return dict(self._grads)
+
+    def set_parameter(self, name: str, value: np.ndarray):
+        cur = self.parameters()[name]
+        if cur.shape != value.shape:
+            raise DimensionError(f"{name}: shape {value.shape} != expected {cur.shape}")
+        cur[...] = value
+
+    def split(self, vec: np.ndarray) -> dict:
+        """Name -> view of vec for each parameter vec covers, taking vec as a
+        leading slice of the arena (e.g. a prune mask over flat[:n_prunable])."""
+        out, off = {}, 0
+        for key, shape in self._shapes.items():
+            size = math.prod(shape)
+            if off + size > vec.size:
+                break
+            out[key] = vec[off:off + size].reshape(shape)
+            off += size
         return out
 
     def state_arrays(self) -> dict:
@@ -234,18 +274,10 @@ class SpikingNetwork:
         """Independent copy with identical parameters and running statistics."""
         other = SpikingNetwork(self.spec, np.random.default_rng(0))
         for name, arr in self.parameters().items():
-            other.set_parameter(name, arr.copy())
+            other.set_parameter(name, arr)
         for name, arr in self.state_arrays().items():
             other.set_state_array(name, arr.copy())
         return other
-
-    def prunable(self) -> dict:
-        """Conv and linear weight tensors, in layer order (biases and BN excluded)."""
-        return {
-            f"layers.{i}.weight": layer.weight
-            for i, layer in enumerate(self.layers)
-            if layer.kind in WEIGHTED_KINDS
-        }
 
     # ---- criticality wiring ------------------------------------------------
 

@@ -19,16 +19,12 @@ class TrainConfig:
     lr_schedule: str = "cosine"          # "cosine" | "step"
     lr_drop_epochs: tuple = (80, 120)
     lr_drop_factor: float = 0.1
-    lambda_l1: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ArgumentError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ArgumentError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.lambda_l1 < 0:
-            raise ArgumentError(f"lambda_l1 must be >= 0, got {self.lambda_l1}")
         if self.lr_schedule not in ("cosine", "step"):
             raise ArgumentError(f"unknown lr schedule {self.lr_schedule!r}")
 
@@ -44,38 +40,34 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 
 class SGD:
-    """Classical momentum: v <- m*v + g + wd*p ; p <- p - lr*v.
+    """Classical momentum over one flat parameter vector:
+    v <- m*v + g + wd*p ; p <- p - lr*v.
 
-    Weight decay skips batch-norm gamma/beta (the L1 penalty handles gamma).
-    Masked parameters are re-zeroed (value and velocity) after every step so
-    pruned connections stay exactly 0.
+    Weight decay applies to the leading n_decayed entries only (the network
+    arena puts batch-norm gamma/beta after them; the L1 penalty handles
+    gamma). A boolean mask covers the leading mask.size entries: masked
+    parameters are re-zeroed (value and velocity) after every step so pruned
+    connections stay exactly 0.
     """
 
-    def __init__(self, params: dict, cfg: TrainConfig):
+    def __init__(self, size: int, n_decayed: int, cfg: TrainConfig):
         self.cfg = cfg
-        self.velocity = {name: np.zeros_like(p) for name, p in params.items()}
+        self.n_decayed = n_decayed
+        self.velocity = np.zeros(size)
 
-    @staticmethod
-    def _decayed(name: str) -> bool:
-        return not (name.endswith(".gamma") or name.endswith(".beta"))
-
-    def step(self, params: dict, grads: dict, lr: float, masks: dict | None = None):
-        for name, p in params.items():
-            g = grads[name]
-            if g is None:
-                raise ArgumentError(f"missing gradient for {name}")
-            if g.shape != p.shape:
-                raise DimensionError(f"{name}: grad shape {g.shape} != param shape {p.shape}")
-            if self.cfg.weight_decay and self._decayed(name):
-                g = g + self.cfg.weight_decay * p
-            v = self.velocity[name]
-            v *= self.cfg.momentum
-            v += g
-            p -= lr * v
-            if masks is not None and name in masks:
-                m = masks[name]
-                p *= m
-                v *= m
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float,
+             mask: np.ndarray | None = None):
+        g = grads
+        if self.cfg.weight_decay:
+            g = grads.copy()
+            g[:self.n_decayed] += self.cfg.weight_decay * params[:self.n_decayed]
+        v = self.velocity
+        v *= self.cfg.momentum
+        v += g
+        params -= lr * v
+        if mask is not None:
+            params[:mask.size] *= mask
+            v[:mask.size] *= mask
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -201,23 +201,23 @@ def slim(net: SpikingNetwork, plan: ChannelPlan) -> SpikingNetwork:
             w = src.weight[keep_out]
             if kept_in is not None:
                 w = w[:, kept_in]
-            dst.weight = w.copy()
+            dst.weight[...] = w
             kept_in = keep_out
         elif ls.kind == "batchnorm":
             keep = plan.keep[i]
-            dst.gamma = src.gamma[keep].copy()
-            dst.beta = src.beta[keep].copy()
+            dst.gamma[...] = src.gamma[keep]
+            dst.beta[...] = src.beta[keep]
             dst.running_mean = src.running_mean[keep].copy()
             dst.running_var = src.running_var[keep].copy()
         elif ls.kind == "linear":
             if kept_in is None:
-                dst.weight = src.weight.copy()
+                dst.weight[...] = src.weight
             else:
                 c_, h_, w_ = shapes[i - 2]
                 cols = _head_keep_features(kept_in, h_, w_)
-                dst.weight = src.weight[:, cols].copy()
+                dst.weight[...] = src.weight[:, cols]
                 kept_in = None
-            dst.bias = src.bias.copy()
+            dst.bias[...] = src.bias
     return out
 
 
@@ -291,8 +291,8 @@ def count_flops(spec: NetworkSpec, plan: ChannelPlan | None = None) -> FlopsRepo
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def criticality_over_dataset(net: SpikingNetwork, x: np.ndarray, y: np.ndarray,
-                             batch_size: int, aggregation: str = "max") -> dict:
+def criticality_over_dataset(net: SpikingNetwork, x: np.ndarray, batch_size: int,
+                             aggregation: str = "max") -> dict:
     """Accumulate channel criticality over a full dataset in inference mode."""
     table = CriticalityTable()
     for i in range(0, x.shape[0], batch_size):
@@ -330,8 +330,7 @@ def structured_pipeline(net, make_trainer, train_epochs: int, finetune_epochs: i
     trainer = make_trainer(net, train_epochs)
     train_rows = trainer.run_epochs(train_epochs, lambda_l1=lambda_l1)
 
-    scores = criticality_over_dataset(net, trainer.data.x_train, trainer.data.y_train,
-                                      batch_size, aggregation)
+    scores = criticality_over_dataset(net, trainer.data.x_train, batch_size, aggregation)
     plan, info = prune_and_regenerate_channels(net, percent, r, scores)
 
     ledger = SurvivalLedger(plan.total_channels)

@@ -1,6 +1,8 @@
-"""Training loop around one network: batching, SGD steps, evaluation,
-per-epoch CSV rows, and full-state checkpointing (weights, velocity, masks,
-RNG stream) so interrupted runs resume bit-identically.
+"""Training loop around one network: batching, SGD steps over the
+network's flat parameter arena, evaluation, per-epoch CSV rows, and run-state
+checkpoints (parameters, BN running statistics, the prune mask as per-tensor
+0/1 entries, and the RNG stream) from which a run resumes bit-identically.
+The optimizer velocity is not saved: every phase starts a fresh SGD.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class Trainer:
         self.data = data
         self.cfg = cfg
         self.rng = rng
-        self.optim = SGD(net.parameters(), cfg)
+        self.optim = SGD(net.flat.size, net.n_decayed, cfg)
         self.steps_per_epoch = -(-data.x_train.shape[0] // cfg.batch_size)
 
     def batches(self):
@@ -47,21 +49,20 @@ class Trainer:
             sel = perm[i:i + self.cfg.batch_size]
             yield self.data.x_train[sel], self.data.y_train[sel]
 
-    def _gammas(self):
-        return {name: p for name, p in self.net.parameters().items()
-                if name.endswith(".gamma")}
-
-    def train_step(self, x, y, lr: float, masks: dict | None = None,
+    def train_step(self, x, y, lr: float, mask: np.ndarray | None = None,
                    lambda_l1: float = 0.0):
+        """One SGD step; mask is a bool vector over net.flat[:net.n_prunable]."""
+        params = self.net.parameters()
         logits = self.net.forward(x, training=True)
-        gammas = self._gammas() if lambda_l1 > 0 else None
+        gammas = ({name: p for name, p in params.items() if name.endswith(".gamma")}
+                  if lambda_l1 > 0 else None)
         loss, dlogits, l1_grads = loss_ce_l1(logits, y, gammas, lambda_l1)
         acc = accuracy(logits, y)
         self.net.backward(dlogits)
         grads = self.net.grads()
         for name, g in l1_grads.items():
-            grads[name] = grads[name] + g
-        self.optim.step(self.net.parameters(), grads, lr, masks)
+            grads[name] += g
+        self.optim.step(self.net.flat, self.net.grad, lr, mask)
         return float(loss), acc
 
     def evaluate(self, split: str = "test", batch_size: int = 256):
@@ -76,19 +77,18 @@ class Trainer:
             hits += (logits.argmax(axis=1) == yb).sum()
         return float(losses / x.shape[0]), float(hits / x.shape[0])
 
-    def run_epochs(self, epochs: int, lambda_l1: float = 0.0,
-                   masks: dict | None = None, sparsity: float = 0.0) -> list:
+    def run_epochs(self, epochs: int, lambda_l1: float = 0.0) -> list:
         rows = []
         for epoch in range(epochs):
             lr = lr_at(epoch, self.cfg)
             losses, accs = [], []
             for x, y in self.batches():
-                loss, acc = self.train_step(x, y, lr, masks, lambda_l1)
+                loss, acc = self.train_step(x, y, lr, lambda_l1=lambda_l1)
                 losses.append(loss)
                 accs.append(acc)
             test_loss, test_acc = self.evaluate()
             rows.append((epoch, lr, float(np.mean(losses)), float(np.mean(accs)),
-                         test_loss, test_acc, sparsity))
+                         test_loss, test_acc, 0.0))
         return rows
 
 
@@ -105,17 +105,15 @@ def restore_rng(rng: np.random.Generator, state: dict):
 
 
 def save_run_state(path, net: SpikingNetwork, meta_extra: dict | None = None,
-                   trainer: Trainer | None = None, masks: dict | None = None,
-                   rng: np.random.Generator | None = None):
+                   mask: np.ndarray | None = None, rng: np.random.Generator | None = None):
+    """Write parameters, running statistics and, given a bool prune mask over
+    net.flat[:net.n_prunable], one 0/1 `mask/<param>` entry per weight tensor."""
     arrays = {}
     arrays.update(net.parameters())
     arrays.update(net.state_arrays())
-    if trainer is not None:
-        for name, v in trainer.optim.velocity.items():
-            arrays[f"velocity/{name}"] = v
-    if masks is not None:
-        for name, m in masks.items():
-            arrays[f"mask/{name}"] = m
+    if mask is not None:
+        for name, m in net.split(mask).items():
+            arrays[f"mask/{name}"] = m.astype(np.float64)
     meta = {"network": net.spec.to_dict()}
     if rng is not None:
         meta["rng_state"] = rng_state(rng)
@@ -125,7 +123,8 @@ def save_run_state(path, net: SpikingNetwork, meta_extra: dict | None = None,
 
 
 def load_run_state(path):
-    """Returns (net, arrays, meta); velocity/mask entries stay in arrays."""
+    """Returns (net, arrays, meta); mask entries (and the velocity entries of
+    older files) stay in arrays."""
     arrays, meta = checkpoint.load(path)
     spec = NetworkSpec.from_dict(meta["network"])
     net = SpikingNetwork(spec, np.random.default_rng(0))

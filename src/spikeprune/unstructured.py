@@ -1,6 +1,8 @@
 """Connection-level pruning: cubic gradual schedule, global magnitude
 criterion, over-pruning to an extended sparsity, and criticality-ranked
-top-k regeneration, all maintained through binary masks.
+top-k regeneration, all maintained through one boolean mask over the
+network's prunable arena prefix, net.flat[:net.n_prunable]. That prefix is
+the single flat index space where all global ranking happens.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ class SparsitySchedule:
         if self.delta_t <= 0:
             raise ArgumentError(f"delta_t must be positive, got {self.delta_t}")
 
-    @property
-    def iterations(self) -> int:
-        return self.t_f // self.delta_t
-
 
 def current_sparsity(sched: SparsitySchedule) -> float:
     """s_t = s_f - s_f*(1 - n*delta_t/t_f)^3, monotone non-decreasing in n."""
@@ -64,108 +62,52 @@ def extend_sparsity(s_t: float, r: float) -> float:
     return s_t + r * (1.0 - s_t)
 
 
-class PruneMask:
-    """Binary masks aligned with the prunable weight tensors of one network.
-
-    Tensors are concatenated in layer order to form a single flat index
-    space; all global ranking happens there.
-    """
-
-    def __init__(self, masks: dict):
-        self.masks = masks
-        self._sizes = {name: m.size for name, m in masks.items()}
-
-    @staticmethod
-    def ones_like(weights: dict) -> "PruneMask":
-        return PruneMask({name: np.ones_like(w) for name, w in weights.items()})
-
-    def copy(self) -> "PruneMask":
-        return PruneMask({name: m.copy() for name, m in self.masks.items()})
-
-    @property
-    def total(self) -> int:
-        return sum(self._sizes.values())
-
-    def survivors(self) -> int:
-        return int(sum(m.sum() for m in self.masks.values()))
-
-    def sparsity(self) -> float:
-        return 1.0 - self.survivors() / self.total
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([m.ravel() for m in self.masks.values()])
-
-    def set_flat(self, flat: np.ndarray):
-        off = 0
-        for name, m in self.masks.items():
-            size = self._sizes[name]
-            self.masks[name] = flat[off:off + size].reshape(m.shape).astype(np.float64)
-            off += size
-
-    def apply(self, weights: dict):
-        for name, w in weights.items():
-            w *= self.masks[name]
+def sparsity(mask: np.ndarray) -> float:
+    """Pruned share of a boolean keep-mask."""
+    return 1.0 - int(np.count_nonzero(mask)) / mask.size
 
 
-def flatten_like(mask: PruneMask, arrays: dict) -> np.ndarray:
-    """Concatenate per-tensor arrays into the mask's flat index space."""
-    return np.concatenate([np.asarray(arrays[name]).ravel() for name in mask.masks])
-
-
-def prune_global_magnitude(weights: dict, mask: PruneMask, s_prime: float) -> np.ndarray:
-    """Mask the smallest-|w| weights across all tensors down to sparsity s_prime.
+def prune_global_magnitude(weights: np.ndarray, mask: np.ndarray,
+                           s_prime: float) -> np.ndarray:
+    """Mask the smallest-|w| weights of the flat weight vector down to sparsity s_prime.
 
     Already-masked weights stay masked (their rank key is forced below any
     magnitude). Ties break toward the lower flat index. Returns the flat
-    indices newly pruned by this call; weights are zeroed in place.
+    indices newly pruned by this call; mask is updated and weights are
+    zeroed in place.
     """
-    total = mask.total
+    total = mask.size
     survivors_target = round_half_up((1.0 - s_prime) * total)
     if survivors_target < 1:
         raise ArgumentError(f"sparsity {s_prime} would leave no survivors")
-    flat_mask = mask.flat()
-    keys = np.abs(flatten_like(mask, weights))
-    keys[flat_mask == 0.0] = -1.0
-    order = np.argsort(keys, kind="stable")
-    prune_count = total - survivors_target
-    new_flat = np.ones(total)
-    new_flat[order[:prune_count]] = 0.0
-    np.minimum(new_flat, flat_mask, out=new_flat)
-    newly_pruned = np.flatnonzero((flat_mask == 1.0) & (new_flat == 0.0))
-    mask.set_flat(new_flat)
-    mask.apply(weights)
+    keys = np.abs(weights)
+    keys[~mask] = -1.0
+    cut = np.argsort(keys, kind="stable")[:total - survivors_target]
+    newly_pruned = np.sort(cut[mask[cut]])
+    mask[cut] = False
+    weights *= mask
     return newly_pruned
 
 
-def regenerate(mask: PruneMask, weights: dict, conn_scores: dict, snapshot: dict,
-               k: int) -> np.ndarray:
+def regenerate(mask: np.ndarray, weights: np.ndarray, conn_scores: np.ndarray,
+               snapshot: np.ndarray, k: int) -> np.ndarray:
     """Unmask the top-k pruned connections by criticality.
 
-    Ranking is (criticality desc, |snapshot| desc, flat index asc). Restored
+    All arguments share the flat prunable index space. Ranking is
+    (criticality desc, |snapshot| desc, flat index asc). Restored
     connections take their snapshot value: the pre-prune weight for
     connections cut this iteration, 0 for ones cut earlier. Returns the flat
     indices regenerated.
     """
-    flat_mask = mask.flat()
-    pruned = np.flatnonzero(flat_mask == 0.0)
+    pruned = np.flatnonzero(~mask)
     if k > pruned.size:
         raise ArgumentError(f"k={k} exceeds pruned count {pruned.size}")
     if k == 0:
         return np.empty(0, dtype=np.intp)
-    score_flat = flatten_like(mask, conn_scores)[pruned]
-    snap_flat = flatten_like(mask, snapshot)
-    order = np.lexsort((pruned, -np.abs(snap_flat[pruned]), -score_flat))
+    order = np.lexsort((pruned, -np.abs(snapshot[pruned]), -conn_scores[pruned]))
     chosen = pruned[order[:k]]
-    flat_mask[chosen] = 1.0
-    mask.set_flat(flat_mask)
-    restored = flat_mask * 0.0
-    restored[chosen] = 1.0
-    off = 0
-    for name, m in mask.masks.items():
-        size = m.size
-        sel = restored[off:off + size].reshape(m.shape).astype(bool)
-        weights[name][sel] = snapshot[name][sel]
-        off += size
+    mask[chosen] = True
+    weights[chosen] = snapshot[chosen]
     return chosen
 
 
@@ -183,15 +125,11 @@ class PruneEvent:
 
 @dataclass
 class PruneRunResult:
-    mask: PruneMask
+    mask: np.ndarray            # bool over net.flat[:net.n_prunable]
     ledger: SurvivalLedger
     events: list
     epoch_rows: list
     mask_history: list          # (post_prune, post_regen) flat bool pairs
-
-
-def _survivor_target(total: int, s: float) -> int:
-    return round_half_up((1.0 - s) * total)
 
 
 def prune_loop(net, trainer, sched: SparsitySchedule, epochs: int,
@@ -205,9 +143,9 @@ def prune_loop(net, trainer, sched: SparsitySchedule, epochs: int,
     fine-tune with masks frozen. With gmp_only the event prunes straight
     to the schedule sparsity and skips scoring and regeneration entirely.
     """
-    weights = net.prunable()
-    mask = PruneMask.ones_like(weights)
-    ledger = SurvivalLedger(mask.total)
+    weights = net.flat[:net.n_prunable]
+    mask = np.ones(net.n_prunable, dtype=bool)
+    ledger = SurvivalLedger(mask.size)
     events = []
     epoch_rows = []
     history = []
@@ -216,36 +154,31 @@ def prune_loop(net, trainer, sched: SparsitySchedule, epochs: int,
         lr = lr_at(epoch, trainer.cfg)
         losses, accs = [], []
         for x, y in trainer.batches():
-            loss, acc = trainer.train_step(x, y, lr, masks=mask.masks)
+            loss, acc = trainer.train_step(x, y, lr, mask=mask)
             losses.append(loss)
             accs.append(acc)
             step += 1
             if step <= sched.t_f and step % sched.delta_t == 0:
                 sched.n += 1
                 s_t = current_sparsity(sched)
-                if gmp_only:
-                    newly = prune_global_magnitude(weights, mask, s_t)
-                    ledger.on_iteration(sched.n, newly, np.empty(0, dtype=np.intp))
-                    history.append((mask.flat().astype(bool), mask.flat().astype(bool)))
-                    events.append(PruneEvent(sched.n, step, s_t, s_t, 0, 0.0, acc,
-                                             mask.sparsity()))
-                    continue
-                s_prime = extend_sparsity(s_t, sched.r)
-                snapshot = {name: w.copy() for name, w in weights.items()}
+                s_prime = s_t if gmp_only else extend_sparsity(s_t, sched.r)
+                snapshot = weights.copy()
                 newly = prune_global_magnitude(weights, mask, s_prime)
-                post_prune = mask.flat().astype(bool)
-                table = CriticalityTable()
-                table.accumulate(score_batch(net.lif_states(), aggregation))
-                conn = network_connection_scores(net, table.finalize())
-                k = _survivor_target(mask.total, s_t) - mask.survivors()
-                chosen = regenerate(mask, weights, conn, snapshot, k)
+                post_prune = mask.copy()
+                k, chosen = 0, np.empty(0, dtype=np.intp)
+                if not gmp_only:
+                    table = CriticalityTable()
+                    table.accumulate(score_batch(net.lif_states(), aggregation))
+                    conn = network_connection_scores(net, table.finalize())
+                    k = round_half_up((1.0 - s_t) * mask.size) - int(np.count_nonzero(mask))
+                    chosen = regenerate(mask, weights, conn, snapshot, k)
                 ledger.on_iteration(sched.n, newly, chosen)
-                history.append((post_prune, mask.flat().astype(bool)))
-                rec = ledger.records[-1]
+                history.append((post_prune, mask.copy()))
                 events.append(PruneEvent(sched.n, step, s_t, s_prime, int(k),
-                                         rec.rescue_fraction, acc, mask.sparsity()))
+                                         ledger.records[-1].rescue_fraction, acc,
+                                         sparsity(mask)))
         test_loss, test_acc = trainer.evaluate()
         epoch_rows.append((epoch, lr, float(np.mean(losses)), float(np.mean(accs)),
-                           test_loss, test_acc, mask.sparsity()))
+                           test_loss, test_acc, sparsity(mask)))
     return PruneRunResult(mask=mask, ledger=ledger, events=events,
                           epoch_rows=epoch_rows, mask_history=history)

@@ -20,12 +20,12 @@ from .optim import TrainConfig, loss_ce_l1
 from .structured import ChannelPlan, count_flops, mask_channels, slim
 from .train import Trainer, fmt
 from .unstructured import (
-    PruneMask,
     SparsitySchedule,
     current_sparsity,
     prune_global_magnitude,
     regenerate,
     round_half_up,
+    sparsity,
 )
 
 
@@ -104,10 +104,10 @@ def check_schedule():
 def check_sparsity_exactness():
     rng = np.random.default_rng(2)
     for trial in range(20):
-        w = {"a": rng.normal(size=int(rng.integers(50, 200))),
-             "b": rng.normal(size=(int(rng.integers(4, 12)), 7))}
-        mask = PruneMask.ones_like(w)
-        total = mask.total
+        w = np.concatenate([rng.normal(size=int(rng.integers(50, 200))),
+                            rng.normal(size=(int(rng.integers(4, 12)), 7)).ravel()])
+        mask = np.ones(w.size, dtype=bool)
+        total = mask.size
         s_f = float(rng.uniform(0.5, 0.95))
         r = float(rng.uniform(0.0, 0.6))
         iters = int(rng.integers(2, 7))
@@ -116,12 +116,12 @@ def check_sparsity_exactness():
             sched.n = n
             s_t = current_sparsity(sched)
             s_p = s_t + r * (1.0 - s_t)
-            snap = {k: v.copy() for k, v in w.items()}
+            snap = w.copy()
             prune_global_magnitude(w, mask, s_p)
-            scores = {k: rng.uniform(0, 1, size=v.shape) for k, v in w.items()}
-            k = round_half_up((1.0 - s_t) * total) - mask.survivors()
+            scores = rng.uniform(0, 1, size=total)
+            k = round_half_up((1.0 - s_t) * total) - int(mask.sum())
             regenerate(mask, w, scores, snap, k)
-            if abs(mask.sparsity() - s_t) >= 1.0 / total:
+            if abs(sparsity(mask) - s_t) >= 1.0 / total:
                 return False, f"trial {trial} iter {n}: off by >=1 connection"
     return True, "20 random configs track the schedule"
 
@@ -130,19 +130,16 @@ def check_regeneration_oracle():
     rng = np.random.default_rng(3)
     for trial in range(100):
         n = int(rng.integers(10, 201))
-        w = {"w": rng.normal(size=n)}
-        mask = PruneMask.ones_like(w)
-        flat = mask.flat()
+        w = rng.normal(size=n)
+        mask = np.ones(n, dtype=bool)
         pruned_idx = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
-        flat[pruned_idx] = 0.0
-        mask.set_flat(flat)
-        snap = {"w": w["w"].copy()}
-        mask.apply(w)
-        scores = {"w": rng.uniform(0, 1, size=n)}
+        mask[pruned_idx] = False
+        snap = w.copy()
+        w *= mask
+        scores = rng.uniform(0, 1, size=n)
         k = int(rng.integers(0, len(pruned_idx) + 1))
         chosen = regenerate(mask, w, scores, snap, k)
-        brute = sorted(pruned_idx,
-                       key=lambda i: (-scores["w"][i], -abs(snap["w"][i]), i))[:k]
+        brute = sorted(pruned_idx, key=lambda i: (-scores[i], -abs(snap[i]), i))[:k]
         if sorted(chosen.tolist()) != sorted(int(i) for i in brute):
             return False, f"trial {trial}: top-k set mismatch"
     return True, "100 instances match the brute-force sort"
@@ -156,7 +153,7 @@ def check_channel_regeneration_oracle():
         net = SpikingNetwork(vgg_mini(input_shape=(1, 4, 4), channels=(width,),
                                       classes=2), np.random.default_rng(trial))
         bn = [i for i, l in enumerate(net.layers) if l.kind == "batchnorm"][0]
-        net.layers[bn].gamma = rng.uniform(0.01, 1.0, size=width)
+        net.layers[bn].gamma[...] = rng.uniform(0.01, 1.0, size=width)
         scores = {bn: rng.uniform(0, 1, size=width)}
         percent = float(rng.uniform(0.2, 0.7))
         r = float(rng.uniform(0.0, 0.5))
@@ -178,8 +175,8 @@ def check_slim_equivalence():
         keep, widths = {}, {}
         for i, layer in enumerate(net.layers):
             if layer.kind == "batchnorm":
-                layer.gamma = rng.uniform(0.2, 1.5, size=layer.channels)
-                layer.beta = rng.normal(0, 0.2, size=layer.channels)
+                layer.gamma[...] = rng.uniform(0.2, 1.5, size=layer.channels)
+                layer.beta[...] = rng.normal(0, 0.2, size=layer.channels)
                 layer.running_mean = rng.normal(0, 0.5, size=layer.channels)
                 layer.running_var = rng.uniform(0.5, 2.0, size=layer.channels)
                 n_keep = int(rng.integers(1, layer.channels + 1))
@@ -190,6 +187,22 @@ def check_slim_equivalence():
         diff = np.abs(mask_channels(net, plan).forward(x) - slim(net, plan).forward(x)).max()
         worst = max(worst, diff)
     return worst <= 1e-5, f"max |masked - slimmed| = {worst:.2e}"
+
+
+def check_arena_views():
+    """Every layer parameter and gradient of a fresh and of a slimmed network
+    is memory inside its network's arenas."""
+    net = SpikingNetwork(vgg_mini(input_shape=(1, 8, 8), channels=(3, 4), classes=3),
+                         np.random.default_rng(8))
+    bns = [i for i, l in enumerate(net.layers) if l.kind == "batchnorm"]
+    plan = ChannelPlan(keep={bns[0]: [0, 2], bns[1]: [1, 3]}, widths={bns[0]: 3, bns[1]: 4})
+    for label, n in (("fresh", net), ("slim", slim(net, plan))):
+        for i, layer in enumerate(n.layers):
+            for name in layer.param_names:
+                if not (np.shares_memory(getattr(layer, name), n.flat)
+                        and np.shares_memory(getattr(layer, "d" + name), n.grad)):
+                    return False, f"{label} net: layers.{i}.{name} is outside the arena"
+    return True, "fresh and slimmed nets: every parameter and grad views its arena"
 
 
 def check_flops():
@@ -266,6 +279,7 @@ def run_all(tmp_dir: str) -> list:
         ("regeneration-topk", check_regeneration_oracle),
         ("channel-regeneration-topk", check_channel_regeneration_oracle),
         ("slim-mask-equivalence", check_slim_equivalence),
+        ("arena-views", check_arena_views),
         ("flops-accounting", check_flops),
         ("criticality-partition", check_criticality_partition),
         ("checkpoint-roundtrip", lambda: check_checkpoint_roundtrip(tmp_dir)),

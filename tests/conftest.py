@@ -17,7 +17,7 @@ def tiny_run(seed=0, channels=(2, 3), n_train=24, n_test=12, batch=8, epochs=6,
     net = SpikingNetwork(vgg_mini(input_shape=image, channels=channels,
                                   classes=classes), rng)
     cfg = TrainConfig(lr=lr, momentum=0.9, weight_decay=5e-4, batch_size=batch,
-                      epochs=epochs, seed=seed)
+                      epochs=epochs)
     return net, Trainer(net, data, cfg, rng), data
 
 

@@ -31,11 +31,11 @@ from spikeprune.structured import (
 )
 from spikeprune.train import Trainer
 from spikeprune.unstructured import (
-    PruneMask,
     SparsitySchedule,
     current_sparsity,
     prune_loop,
     regenerate,
+    sparsity,
 )
 
 TAU = 4.0 / 3.0
@@ -167,7 +167,7 @@ def test_criterion_05_sparsity_exactness():
         iters = max(1, 3 * trainer.steps_per_epoch // delta_t)
         sched = SparsitySchedule(s_f=s_f, delta_t=delta_t, t_f=iters * delta_t, r=r)
         res = prune_loop(net, trainer, sched, epochs=3)
-        total = res.mask.total
+        total = res.mask.size
         for ev in res.events:
             gap = abs(ev.sparsity_after - ev.s_t)
             assert gap < 1.0 / total, f"trial {trial}: off by {gap * total:.2f} connections"
@@ -183,19 +183,16 @@ def test_criterion_06_regeneration_oracle():
     rng = np.random.default_rng(3)
     for trial in range(100):
         n = int(rng.integers(10, 201))
-        w = {"w": rng.normal(size=n)}
-        mask = PruneMask.ones_like(w)
-        flat = mask.flat()
+        w = rng.normal(size=n)
+        mask = np.ones(n, dtype=bool)
         pruned_idx = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
-        flat[pruned_idx] = 0.0
-        mask.set_flat(flat)
-        snap = {"w": w["w"].copy()}
-        mask.apply(w)
-        scores = {"w": rng.uniform(0, 1, size=n)}
+        mask[pruned_idx] = False
+        snap = w.copy()
+        w *= mask
+        scores = rng.uniform(0, 1, size=n)
         k = int(rng.integers(0, len(pruned_idx) + 1))
         chosen = regenerate(mask, w, scores, snap, k)
-        brute = sorted(pruned_idx,
-                       key=lambda i: (-scores["w"][i], -abs(snap["w"][i]), i))[:k]
+        brute = sorted(pruned_idx, key=lambda i: (-scores[i], -abs(snap[i]), i))[:k]
         assert sorted(chosen.tolist()) == sorted(int(i) for i in brute)
     # channel-level toys
     for trial in range(40):
@@ -203,7 +200,7 @@ def test_criterion_06_regeneration_oracle():
         net = SpikingNetwork(vgg_mini(input_shape=(1, 4, 4), channels=(width,),
                                       classes=2), np.random.default_rng(trial))
         bn = [i for i, l in enumerate(net.layers) if l.kind == "batchnorm"][0]
-        net.layers[bn].gamma = rng.uniform(0.01, 1.0, size=width)
+        net.layers[bn].gamma[...] = rng.uniform(0.01, 1.0, size=width)
         scores = {bn: rng.uniform(0, 1, size=width)}
         plan, info = prune_and_regenerate_channels(
             net, float(rng.uniform(0.2, 0.7)), float(rng.uniform(0.0, 0.5)), scores)
@@ -227,7 +224,7 @@ def test_criterion_07_r0_reduction():
 
     a = masks_for(False)
     b = masks_for(True)
-    same = np.array_equal(a.flat(), b.flat())
+    same = np.array_equal(a, b)
     report(7, same, "Algorithm 1 with r=0 and a pure GMP run produce identical masks")
 
 
@@ -242,8 +239,8 @@ def test_criterion_08_slim_mask_equivalence():
         keep, widths = {}, {}
         for i, layer in enumerate(net.layers):
             if layer.kind == "batchnorm":
-                layer.gamma = rng.uniform(0.2, 1.5, size=layer.channels)
-                layer.beta = rng.normal(0, 0.2, size=layer.channels)
+                layer.gamma[...] = rng.uniform(0.2, 1.5, size=layer.channels)
+                layer.beta[...] = rng.normal(0, 0.2, size=layer.channels)
                 layer.running_mean = rng.normal(0, 0.5, size=layer.channels)
                 layer.running_var = rng.uniform(0.5, 2.0, size=layer.channels)
                 n_keep = int(rng.integers(1, layer.channels + 1))
@@ -301,16 +298,15 @@ def _experiment_run(seed, variant):
                              r=0.5 if variant == "regen" else 0.0)
     res = prune_loop(net, trainer, sched, epochs=epochs,
                      gmp_only=(variant == "gmp"))
-    return res.epoch_rows[-1][5], res.mask.sparsity()
+    return res.epoch_rows[-1][5], sparsity(res.mask)
 
 
 def test_criterion_10_end_to_end_desk_experiment():
     t0 = time.monotonic()
     seeds = (1, 2, 3, 4, 5)
     dense, gmp, regen = [], [], []
-    total = sum(p.size for p in SpikingNetwork(
-        vgg_mini(input_shape=(1, 8, 8), channels=(12, 24), classes=3),
-        np.random.default_rng(0)).prunable().values())
+    total = SpikingNetwork(vgg_mini(input_shape=(1, 8, 8), channels=(12, 24), classes=3),
+                           np.random.default_rng(0)).n_prunable
     for seed in seeds:
         d_acc, _ = _experiment_run(seed, "dense")
         g_acc, g_sp = _experiment_run(seed, "gmp")
@@ -338,8 +334,8 @@ def test_criterion_11_analysis_self_consistency():
     t_f = (4 * trainer.steps_per_epoch // 3) * 3
     sched = SparsitySchedule(s_f=0.9, delta_t=3, t_f=t_f, r=0.4)
     res = prune_loop(net, trainer, sched, epochs=5)
-    live = survival_report(res.ledger, res.mask.flat().astype(bool))
-    replayed = replay_mask_history(np.ones(res.mask.total, dtype=bool),
+    live = survival_report(res.ledger, res.mask)
+    replayed = replay_mask_history(np.ones(res.mask.size, dtype=bool),
                                    res.mask_history)
     assert live == replayed, "recomputed survival report differs from live ledger"
 

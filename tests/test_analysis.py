@@ -123,7 +123,7 @@ class TestSurvival:
         t_f = (4 * trainer.steps_per_epoch // 3) * 3
         sched = SparsitySchedule(s_f=0.9, delta_t=3, t_f=t_f, r=0.0)
         res = prune_loop(net, trainer, sched, epochs=5)
-        report = survival_report(res.ledger, res.mask.flat().astype(bool))
+        report = survival_report(res.ledger, res.mask)
         assert all(it["rescue_fraction"] == 0.0 for it in report["iterations"])
         assert report["survived_via_regeneration"] == 0.0
 
@@ -139,8 +139,8 @@ class TestSurvival:
         t_f = (4 * trainer.steps_per_epoch // 3) * 3
         sched = SparsitySchedule(s_f=0.9, delta_t=3, t_f=t_f, r=0.4)
         res = prune_loop(net, trainer, sched, epochs=5)
-        live = survival_report(res.ledger, res.mask.flat().astype(bool))
-        replayed = replay_mask_history(np.ones(res.mask.total, dtype=bool),
+        live = survival_report(res.ledger, res.mask)
+        replayed = replay_mask_history(np.ones(res.mask.size, dtype=bool),
                                        res.mask_history)
         assert live == replayed
 

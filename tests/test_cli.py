@@ -173,6 +173,28 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "lr" in err
 
+    def test_negative_l1_strength(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("s = -1\n")
+        rc = main(["prune-structured", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "key 's': must be >= 0" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_every_offset(self, tmp_path, capsys):
+        from spikeprune import checkpoint
+        whole = tmp_path / "whole.ckpt"
+        checkpoint.save(whole, {"a": np.arange(6.0).reshape(2, 3), "b": np.array(2.5)},
+                        {"network": {}, "note": "small"})
+        blob = whole.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            rc = main(["analyze", "--checkpoint", str(cut), "--metric", "variance",
+                       "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err.splitlines()
+            assert rc == 2, n
+            assert len(err) == 1 and err[0].startswith("error:") and "cut.ckpt" in err[0], n
+
     def test_resume_seed_mismatch(self, tiny_cfg, capsys):
         cfg, root = tiny_cfg
         main(["train", "--config", cfg, "--out", str(root / "t")])

@@ -121,14 +121,6 @@ class TestTable:
             off += b
         assert np.abs(whole.finalize()[0] - split.finalize()[0]).max() <= 1e-9
 
-    def test_merge_matches_sequential(self):
-        a = CriticalityTable()
-        b = CriticalityTable()
-        a.accumulate(BatchScores({0: np.array([0.2])}, count=2))
-        b.accumulate(BatchScores({0: np.array([0.6])}, count=6))
-        a.merge(b)
-        assert a.finalize()[0][0] == pytest.approx((0.2 * 2 + 0.6 * 6) / 8, abs=1e-15)
-
 
 class TestConnectionScores:
     def test_linear_broadcast(self):
@@ -164,11 +156,12 @@ class TestConnectionScores:
         table.accumulate(out)
         finalized = table.finalize()
         conn = network_connection_scores(net, finalized)
-        assert set(conn) == set(net.prunable())
-        for name, w in net.prunable().items():
-            assert conn[name].shape == w.shape
+        assert conn.shape == (net.n_prunable,)
+        per_weight = net.split(conn)
+        assert set(per_weight) == {f"layers.{i}.weight" for i, l in enumerate(net.layers)
+                                   if l.kind in ("conv", "linear")}
         # head rows repeat the last LIF's channel scores over spatial positions
-        head = conn["layers.9.weight"]
+        head = per_weight["layers.9.weight"]
         last_lif = max(finalized)
         hw = head.shape[1] // finalized[last_lif].shape[0]
         np.testing.assert_array_equal(head[0], np.repeat(finalized[last_lif], hw))

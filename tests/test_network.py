@@ -5,6 +5,7 @@ oracles, relaxed-mode finite differences, and checkpoint round-trips.
 import numpy as np
 import pytest
 
+from conftest import tiny_run
 from spikeprune import checkpoint
 from spikeprune.errors import DimensionError, StateError
 from spikeprune.layers import LIFParams, surrogate_gprime
@@ -179,6 +180,32 @@ class TestBackward:
             assert np.array_equal(before[k], v)
 
 
+class TestArena:
+    def test_layout_prefixes(self):
+        """Weights in layer order, then biases, then BN gamma/beta; every
+        parameter and gradient attribute is a view of its arena."""
+        net = SpikingNetwork(vgg_mini(channels=(2, 3)), np.random.default_rng(13))
+        weighted = [l for l in net.layers if l.kind in ("conv", "linear")]
+        weights = np.concatenate([l.weight.ravel() for l in weighted])
+        np.testing.assert_array_equal(net.flat[:net.n_prunable], weights)
+        assert net.n_decayed == net.n_prunable + net.layers[-1].bias.size
+        bn = [l for l in net.layers if l.kind == "batchnorm"]
+        affine = np.concatenate([np.concatenate([l.gamma, l.beta]) for l in bn])
+        np.testing.assert_array_equal(net.flat[net.n_decayed:], affine)
+        for layer in net.layers:
+            for name in layer.param_names:
+                assert np.shares_memory(getattr(layer, name), net.flat)
+                assert np.shares_memory(getattr(layer, "d" + name), net.grad)
+
+    def test_rebound_parameter_fails_loudly(self):
+        net, trainer, data = tiny_run(seed=14)
+        net.layers[0].weight = net.layers[0].weight.copy()
+        with pytest.raises(StateError):
+            net.clone()
+        with pytest.raises(StateError):
+            trainer.train_step(data.x_train[:4], data.y_train[:4], lr=0.1)
+
+
 class TestSpecValidation:
     def test_conv_without_bn_rejected(self):
         layers = [
@@ -227,6 +254,28 @@ class TestCheckpoint:
         p.write_bytes(b"NOPE!")
         with pytest.raises(ValueError):
             checkpoint.load(p)
+
+    def test_truncated_file_names_path_and_offset(self, tmp_path):
+        p = tmp_path / "t.ckpt"
+        checkpoint.save(p, {"w": np.ones((2, 3))}, {"note": "x"})
+        p.write_bytes(p.read_bytes()[:7])
+        with pytest.raises(ValueError, match=r"t\.ckpt: truncated .* byte offset 5"):
+            checkpoint.load(p)
+
+    def test_older_file_with_velocity_loads(self, tmp_path):
+        """Run states no longer carry velocity/* entries; files that do still load."""
+        from spikeprune.train import load_run_state, save_run_state
+        rng = np.random.default_rng(15)
+        net = SpikingNetwork(vgg_mini(channels=(2, 3)), rng)
+        path = tmp_path / "net.ckpt"
+        save_run_state(path, net, rng=rng)
+        arrays, meta = checkpoint.load(path)
+        assert not any(name.startswith("velocity/") for name in arrays)
+        for name, p in net.parameters().items():
+            arrays[f"velocity/{name}"] = np.ones_like(p)
+        checkpoint.save(path, arrays, meta)
+        net2, _, _ = load_run_state(path)
+        np.testing.assert_array_equal(net2.flat, net.flat)
 
     def test_network_state_roundtrip(self, tmp_path):
         from spikeprune.train import load_run_state, save_run_state

@@ -18,50 +18,49 @@ def cfg(**kw):
 class TestSGD:
     def test_plain_sgd_reduction(self):
         c = cfg(momentum=0.0)
-        p = {"w": np.array([1.0, 2.0])}
-        g = {"w": np.array([0.5, -0.5])}
-        opt = SGD(p, c)
-        opt.step(p, g, lr=0.1)
-        np.testing.assert_allclose(p["w"], [1.0 - 0.05, 2.0 + 0.05], atol=1e-15)
+        p = np.array([1.0, 2.0])
+        opt = SGD(2, 2, c)
+        opt.step(p, np.array([0.5, -0.5]), lr=0.1)
+        np.testing.assert_allclose(p, [1.0 - 0.05, 2.0 + 0.05], atol=1e-15)
 
     def test_zero_grads_no_change(self):
         c = cfg()
-        p = {"w": np.array([1.0, -1.0])}
-        opt = SGD(p, c)
-        opt.step(p, {"w": np.zeros(2)}, lr=0.3)
-        np.testing.assert_array_equal(p["w"], [1.0, -1.0])
+        p = np.array([1.0, -1.0])
+        opt = SGD(2, 2, c)
+        opt.step(p, np.zeros(2), lr=0.3)
+        np.testing.assert_array_equal(p, [1.0, -1.0])
 
     def test_two_momentum_steps(self):
         # v1 = g, v2 = 0.9 g + g = 1.9 g -> total update lr*g*(1 + 1.9)
         c = cfg(momentum=0.9)
-        p = {"w": np.array([0.0])}
-        g = {"w": np.array([1.0])}
-        opt = SGD(p, c)
+        p = np.array([0.0])
+        g = np.array([1.0])
+        opt = SGD(1, 1, c)
         opt.step(p, g, lr=0.1)
         opt.step(p, g, lr=0.1)
-        assert p["w"][0] == pytest.approx(-0.1 * (1.0 + 1.9), abs=1e-15)
+        assert p[0] == pytest.approx(-0.1 * (1.0 + 1.9), abs=1e-15)
 
     def test_weight_decay_skips_gamma_beta(self):
+        # [weight, gamma]: only the leading n_decayed = 1 entry decays
         c = cfg(weight_decay=0.1)
-        p = {"layers.1.gamma": np.array([2.0]), "layers.0.weight": np.array([2.0])}
-        g = {"layers.1.gamma": np.zeros(1), "layers.0.weight": np.zeros(1)}
-        opt = SGD(p, c)
-        opt.step(p, g, lr=1.0)
-        assert p["layers.1.gamma"][0] == 2.0
-        assert p["layers.0.weight"][0] == pytest.approx(2.0 - 0.2)
+        p = np.array([2.0, 2.0])
+        opt = SGD(2, 1, c)
+        opt.step(p, np.zeros(2), lr=1.0)
+        assert p[1] == 2.0
+        assert p[0] == pytest.approx(2.0 - 0.2)
 
     @given(st.integers(1, 40))
     @settings(max_examples=20, deadline=None)
     def test_masked_entries_stay_exactly_zero(self, steps):
         c = cfg(momentum=0.9, weight_decay=5e-4)
         rng = np.random.default_rng(steps)
-        p = {"w": rng.normal(size=8)}
-        mask = {"w": (rng.random(8) > 0.5).astype(float)}
-        p["w"] *= mask["w"]
-        opt = SGD(p, c)
+        p = rng.normal(size=8)
+        mask = rng.random(8) > 0.5
+        p *= mask
+        opt = SGD(8, 8, c)
         for _ in range(steps):
-            opt.step(p, {"w": rng.normal(size=8)}, lr=0.05, masks=mask)
-            assert np.all(p["w"][mask["w"] == 0.0] == 0.0)
+            opt.step(p, rng.normal(size=8), lr=0.05, mask=mask)
+            assert np.all(p[~mask] == 0.0)
 
 
 class TestLrSchedules:
@@ -165,13 +164,14 @@ class TestL1DrivesGammaDown:
     def test_monotone_decay_without_task_gradient(self):
         """A gamma with zero task gradient shrinks monotonically under L1."""
         c = TrainConfig(lr=0.05, momentum=0.0, weight_decay=0.0, batch_size=1,
-                        epochs=1, lambda_l1=1e-2)
-        p = {"layers.1.gamma": np.array([0.4, -0.3])}
-        opt = SGD(p, c)
-        prev = np.abs(p["layers.1.gamma"]).copy()
+                        epochs=1)
+        lambda_l1 = 1e-2
+        gamma = np.array([0.4, -0.3])
+        opt = SGD(2, 0, c)
+        prev = np.abs(gamma).copy()
         for _ in range(30):
-            l1_grad = c.lambda_l1 * np.sign(p["layers.1.gamma"])
-            opt.step(p, {"layers.1.gamma": l1_grad}, lr=c.lr)
-            cur = np.abs(p["layers.1.gamma"])
+            l1_grad = lambda_l1 * np.sign(gamma)
+            opt.step(gamma, l1_grad, lr=c.lr)
+            cur = np.abs(gamma)
             assert np.all(cur <= prev + 1e-15)
             prev = cur.copy()

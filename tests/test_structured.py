@@ -31,8 +31,8 @@ def rand_net(seed, channels=(3, 4), image=(1, 8, 8), classes=3):
     # scatter the BN parameters and running stats so slimming is non-trivial
     for layer in net.layers:
         if layer.kind == "batchnorm":
-            layer.gamma = rng.uniform(0.2, 1.5, size=layer.channels)
-            layer.beta = rng.normal(0, 0.2, size=layer.channels)
+            layer.gamma[...] = rng.uniform(0.2, 1.5, size=layer.channels)
+            layer.beta[...] = rng.normal(0, 0.2, size=layer.channels)
             layer.running_mean = rng.normal(0, 0.5, size=layer.channels)
             layer.running_var = rng.uniform(0.5, 2.0, size=layer.channels)
     return net, rng
@@ -81,7 +81,7 @@ class TestPruneAndRegenerate:
         one brought back is the argmax-criticality pruned channel."""
         net = self._four_channel_net()
         bn = [i for i, l in enumerate(net.layers) if l.kind == "batchnorm"][0]
-        net.layers[bn].gamma = np.array([0.9, 0.05, 0.4, 0.01])
+        net.layers[bn].gamma[...] = [0.9, 0.05, 0.4, 0.01]
         scores = {bn: np.array([0.1, 0.8, 0.2, 0.3])}
         plan, info = prune_and_regenerate_channels(net, 0.5, 0.5, scores)
         assert len(info.pruned) == 3
@@ -92,7 +92,7 @@ class TestPruneAndRegenerate:
     def test_r0_is_plain_slimming(self):
         net = self._four_channel_net()
         bn = [i for i, l in enumerate(net.layers) if l.kind == "batchnorm"][0]
-        net.layers[bn].gamma = np.array([0.9, 0.05, 0.4, 0.01])
+        net.layers[bn].gamma[...] = [0.9, 0.05, 0.4, 0.01]
         scores = {bn: np.zeros(4)}
         plan, info = prune_and_regenerate_channels(net, 0.5, 0.0, scores)
         assert info.regenerated == []
@@ -122,8 +122,8 @@ class TestPruneAndRegenerate:
         net, _ = rand_net(60, channels=(2, 6))
         bns = [i for i, l in enumerate(net.layers) if l.kind == "batchnorm"]
         # first layer's gammas are tiny: global ranking would empty it
-        net.layers[bns[0]].gamma = np.array([1e-6, 2e-6])
-        net.layers[bns[1]].gamma = np.linspace(0.5, 1.0, 6)
+        net.layers[bns[0]].gamma[...] = [1e-6, 2e-6]
+        net.layers[bns[1]].gamma[...] = np.linspace(0.5, 1.0, 6)
         scores = {bns[0]: np.zeros(2), bns[1]: np.zeros(6)}
         plan, info = prune_and_regenerate_channels(net, 0.5, 0.0, scores)
         assert plan.keep[bns[0]] == [1]         # top |gamma| force-kept
@@ -264,7 +264,7 @@ class TestPipeline:
 
     def test_criticality_scores_cover_all_bn_layers(self, tiny):
         net, trainer, data = tiny
-        scores = criticality_over_dataset(net, data.x_train, data.y_train, 8)
+        scores = criticality_over_dataset(net, data.x_train, 8)
         bns = [i for i, l in enumerate(net.layers) if l.kind == "batchnorm"]
         assert sorted(scores) == bns
         for i in bns:

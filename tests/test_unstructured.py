@@ -8,15 +8,14 @@ import pytest
 from conftest import tiny_run
 from spikeprune.errors import ArgumentError
 from spikeprune.unstructured import (
-    PruneMask,
     SparsitySchedule,
     current_sparsity,
     extend_sparsity,
-    flatten_like,
     prune_global_magnitude,
     prune_loop,
     regenerate,
     round_half_up,
+    sparsity,
 )
 
 
@@ -68,44 +67,44 @@ class TestExtendSparsity:
                 assert s <= sp < 1.0
 
 
-def one_layer_mask(weights):
-    return PruneMask.ones_like({"w": weights})
+def ones(w):
+    return np.ones(w.size, dtype=bool)
 
 
 class TestGlobalMagnitudePrune:
     def test_hand_example(self):
-        w = {"w": np.array([0.5, -0.3, 0.1, -0.7])}
-        mask = PruneMask.ones_like(w)
+        w = np.array([0.5, -0.3, 0.1, -0.7])
+        mask = ones(w)
         prune_global_magnitude(w, mask, 0.5)
-        np.testing.assert_array_equal(mask.masks["w"], [1.0, 0.0, 0.0, 1.0])
-        np.testing.assert_array_equal(w["w"], [0.5, 0.0, 0.0, -0.7])
+        np.testing.assert_array_equal(mask, [True, False, False, True])
+        np.testing.assert_array_equal(w, [0.5, 0.0, 0.0, -0.7])
 
     def test_zero_sparsity_no_change(self):
-        w = {"w": np.array([0.5, -0.3, 0.1])}
-        mask = PruneMask.ones_like(w)
+        w = np.array([0.5, -0.3, 0.1])
+        mask = ones(w)
         newly = prune_global_magnitude(w, mask, 0.0)
         assert newly.size == 0
-        assert mask.survivors() == 3
+        assert mask.sum() == 3
 
     def test_all_pruned_rejected(self):
-        w = {"w": np.ones(4)}
+        w = np.ones(4)
         with pytest.raises(ArgumentError):
-            prune_global_magnitude(w, PruneMask.ones_like(w), 0.999)
+            prune_global_magnitude(w, ones(w), 0.999)
 
     def test_survivors_match_full_sort_oracle(self):
         rng = np.random.default_rng(0)
         for trial in range(20):
-            w = {"a": rng.normal(size=40), "b": rng.normal(size=(10, 6))}
-            mask = PruneMask.ones_like(w)
+            w = np.concatenate([rng.normal(size=40), rng.normal(size=(10, 6)).ravel()])
+            mask = ones(w)
             s = float(rng.uniform(0.1, 0.9))
             prune_global_magnitude(w, mask, s)
-            flat_w = np.concatenate([w["a"].ravel(), w["b"].ravel()])
+            flat_w = w.copy()
             total = flat_w.size
             keep = round_half_up((1 - s) * total)
             order = sorted(range(total), key=lambda i: (abs(flat_w[i]), i))
             # oracle: block out the smallest-|w| entries; but w was zeroed in
             # place, so rank on the mask's own survivors instead
-            survivors = set(np.flatnonzero(mask.flat() == 1.0))
+            survivors = set(np.flatnonzero(mask))
             assert len(survivors) == keep
             oracle_pruned = set(order[:total - keep])
             assert survivors.isdisjoint(oracle_pruned) or all(
@@ -113,41 +112,39 @@ class TestGlobalMagnitudePrune:
             )
 
     def test_already_masked_stay_masked(self):
-        w = {"w": np.array([0.5, -0.3, 0.1, -0.7, 0.9, 0.2])}
-        mask = PruneMask.ones_like(w)
+        w = np.array([0.5, -0.3, 0.1, -0.7, 0.9, 0.2])
+        mask = ones(w)
         prune_global_magnitude(w, mask, 0.3)
-        first = mask.flat().copy()
+        first = mask.copy()
         prune_global_magnitude(w, mask, 0.5)
-        assert np.all(mask.flat() <= first)
+        assert np.all(mask <= first)
 
     def test_realized_sparsity_within_one_connection(self):
         rng = np.random.default_rng(1)
-        w = {"w": rng.normal(size=97)}
-        mask = PruneMask.ones_like(w)
+        w = rng.normal(size=97)
+        mask = ones(w)
         prune_global_magnitude(w, mask, 0.73)
-        assert abs(mask.sparsity() - 0.73) < 1.0 / 97
+        assert abs(sparsity(mask) - 0.73) < 1.0 / 97
 
 
 class TestRegenerate:
     def _setup(self, seed=2, n=10, pruned=6):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=n)
-        w = {"w": values.copy()}
-        mask = PruneMask.ones_like(w)
-        snapshot = {"w": values.copy()}
+        w = values.copy()
+        mask = np.ones(n, dtype=bool)
+        snapshot = values.copy()
         drop = rng.choice(n, size=pruned, replace=False)
-        flat = mask.flat()
-        flat[drop] = 0.0
-        mask.set_flat(flat)
-        mask.apply(w)
-        scores = {"w": rng.uniform(0, 1, size=n)}
+        mask[drop] = False
+        w *= mask
+        scores = rng.uniform(0, 1, size=n)
         return w, mask, snapshot, scores
 
     def test_k_zero_is_noop(self):
         w, mask, snap, scores = self._setup()
-        before = mask.flat().copy()
+        before = mask.copy()
         regenerate(mask, w, scores, snap, 0)
-        np.testing.assert_array_equal(mask.flat(), before)
+        np.testing.assert_array_equal(mask, before)
 
     def test_k_exceeds_pruned(self):
         w, mask, snap, scores = self._setup(pruned=3)
@@ -157,26 +154,26 @@ class TestRegenerate:
     def test_full_regeneration_is_identity(self):
         """Pruning then regenerating everything just pruned undoes the prune."""
         rng = np.random.default_rng(3)
-        w = {"w": rng.normal(size=12)}
-        original = w["w"].copy()
-        mask = PruneMask.ones_like(w)
-        snapshot = {"w": w["w"].copy()}
+        w = rng.normal(size=12)
+        original = w.copy()
+        mask = ones(w)
+        snapshot = w.copy()
         newly = prune_global_magnitude(w, mask, 0.5)
-        scores = {"w": rng.uniform(0, 1, size=12)}
+        scores = rng.uniform(0, 1, size=12)
         regenerate(mask, w, scores, snapshot, len(newly))
-        assert mask.survivors() == 12
-        np.testing.assert_array_equal(w["w"], original)
+        assert mask.sum() == 12
+        np.testing.assert_array_equal(w, original)
 
     def test_matches_brute_force_triple_sort(self):
         """Regenerated set equals sorting (score desc, |w| desc, idx asc)."""
         for seed in range(15):
             w, mask, snap, scores = self._setup(seed=seed + 10)
-            pruned = np.flatnonzero(mask.flat() == 0.0)
+            pruned = np.flatnonzero(~mask)
             k = len(pruned) // 2
             chosen = regenerate(mask, w, scores, snap, k)
             brute = sorted(
                 pruned,
-                key=lambda i: (-scores["w"][i], -abs(snap["w"][i]), i),
+                key=lambda i: (-scores[i], -abs(snap[i]), i),
             )[:k]
             assert sorted(chosen.tolist()) == sorted(int(i) for i in brute)
 
@@ -184,7 +181,7 @@ class TestRegenerate:
         w, mask, snap, scores = self._setup(seed=5)
         chosen = regenerate(mask, w, scores, snap, 2)
         for i in chosen:
-            assert w["w"][i] == snap["w"][i]
+            assert w[i] == snap[i]
 
 
 class TestPruneLoop:
@@ -199,14 +196,14 @@ class TestPruneLoop:
         net_b, trainer_b, _ = tiny_run(seed=11)
         res_b = prune_loop(net_b, trainer_b, self._sched(trainer_b, r=0.0), epochs=6,
                            gmp_only=True)
-        np.testing.assert_array_equal(res_a.mask.flat(), res_b.mask.flat())
+        np.testing.assert_array_equal(res_a.mask, res_b.mask)
 
     def test_final_sparsity_reaches_target(self):
         for s_f in (0.9, 0.95):
             net, trainer, _ = tiny_run(seed=7)
             res = prune_loop(net, trainer, self._sched(trainer, s_f=s_f), epochs=6)
-            total = res.mask.total
-            assert abs(res.mask.sparsity() - s_f) < 1.0 / total
+            total = res.mask.size
+            assert abs(sparsity(res.mask) - s_f) < 1.0 / total
 
     def test_sparsity_tracks_schedule_each_iteration(self):
         """After every prune+regenerate pair, realized sparsity == s_t within
@@ -214,11 +211,11 @@ class TestPruneLoop:
         net, trainer, _ = tiny_run(seed=8)
         sched = self._sched(trainer, s_f=0.9, r=0.3)
         res = prune_loop(net, trainer, sched, epochs=6)
-        total = res.mask.total
+        total = res.mask.size
         for ev in res.events:
             assert ev.k >= 0
             assert abs(ev.sparsity_after - ev.s_t) < 1.0 / total
-        assert abs(res.mask.sparsity() - 0.9) < 1.0 / total
+        assert abs(sparsity(res.mask) - 0.9) < 1.0 / total
 
     def test_event_count_bounded(self):
         net, trainer, _ = tiny_run(seed=9)
@@ -235,11 +232,5 @@ class TestPruneLoop:
     def test_masked_weights_exactly_zero_after_run(self):
         net, trainer, _ = tiny_run(seed=12)
         res = prune_loop(net, trainer, self._sched(trainer, r=0.2), epochs=6)
-        for name, w in net.prunable().items():
-            assert np.all(w[res.mask.masks[name] == 0.0] == 0.0)
-
-
-def test_flatten_like_order():
-    w = {"a": np.arange(4.0).reshape(2, 2), "b": np.array([9.0])}
-    mask = PruneMask.ones_like(w)
-    np.testing.assert_array_equal(flatten_like(mask, w), [0, 1, 2, 3, 9])
+        assert res.mask.size == net.n_prunable
+        assert np.all(net.flat[:net.n_prunable][~res.mask] == 0.0)
