@@ -193,5 +193,7 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(f"key 'aggregation': must be max or mean, got {cfg.aggregation!r}")
     if cfg.lr_schedule not in ("", "cosine", "step"):
         raise ConfigError(f"key 'lr_schedule': must be cosine or step, got {cfg.lr_schedule!r}")
+    if not cfg.normalize_std > 0:
+        raise ConfigError(f"key 'normalize_std': must be > 0, got {cfg.normalize_std}")
     if cfg.dataset not in ("synthetic", "idx"):
         raise ConfigError(f"key 'dataset': must be synthetic or idx, got {cfg.dataset!r}")

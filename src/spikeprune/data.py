@@ -88,9 +88,18 @@ def load_idx(path: str) -> np.ndarray:
         code, ndim = header[2], header[3]
         if code not in _IDX_DTYPES:
             raise ArgumentError(f"{path}: unknown IDX type code 0x{code:02x}")
-        dims = struct.unpack(f">{ndim}I", f.read(4 * ndim))
+        raw = f.read(4 * ndim)
+        if len(raw) != 4 * ndim:
+            raise ArgumentError(f"{path}: IDX header truncated: {ndim} dimensions need "
+                                f"{4 * ndim} bytes, found {len(raw)}")
+        dims = struct.unpack(f">{ndim}I", raw)
+        dtype = np.dtype(_IDX_DTYPES[code])
         count = int(np.prod(dims))
-        data = np.frombuffer(f.read(), dtype=_IDX_DTYPES[code], count=count)
+        body = f.read()
+        if len(body) < count * dtype.itemsize:
+            raise ArgumentError(f"{path}: IDX data truncated: shape {dims} needs "
+                                f"{count * dtype.itemsize} bytes, found {len(body)}")
+        data = np.frombuffer(body, dtype=dtype, count=count)
     return data.reshape(dims).astype(np.float64)
 
 
@@ -98,6 +107,9 @@ def load_idx_dataset(spec: DatasetSpec) -> Dataset:
     def prep(images_path, labels_path, limit):
         x = load_idx(images_path)
         y = load_idx(labels_path).astype(np.int64)
+        if x.shape[0] != y.shape[0]:
+            raise ArgumentError(f"{images_path} holds {x.shape[0]} images but "
+                                f"{labels_path} holds {y.shape[0]} labels")
         if x.ndim == 3:
             x = x[:, None, :, :]
         x = (x / 255.0 - spec.normalize_mean) / spec.normalize_std

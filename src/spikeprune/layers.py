@@ -1,6 +1,7 @@
 """LIF dynamics, the arctan surrogate, and the layer zoo.
 
-Layers consume and produce time-stacked activations of shape [T, N, ...].
+Layers consume and produce time-stacked activations of shape [T, N, ...]
+(T = 1 for the layers a network runs before its first LIF).
 Stateless layers fold the T axis into the batch; batch normalization computes
 its statistics jointly over batch, time, and space, which the folding gives
 for free. The LIF layer carries the membrane recurrence across the T axis.
@@ -78,7 +79,6 @@ class LIFState:
 
     h: np.ndarray
     s: np.ndarray
-    u: np.ndarray
     gprime: np.ndarray
 
 
@@ -297,17 +297,12 @@ class LIF(Layer):
 
     def forward(self, xs, training):
         p = self.lif_params
-        t_steps = xs.shape[0]
+        st = LIFState(np.empty(xs.shape), np.empty(xs.shape), np.empty(xs.shape))
         u = np.full(xs.shape[1:], p.v_reset)
-        hs, ss, us, gs = [], [], [], []
-        for t in range(t_steps):
-            h, s, u, gp = lif_step(xs[t], u, p, relaxed=self.relaxed)
-            hs.append(h)
-            ss.append(s)
-            us.append(u)
-            gs.append(gp)
-        self.state = LIFState(np.stack(hs), np.stack(ss), np.stack(us), np.stack(gs))
-        return self.state.s.copy()
+        for t in range(xs.shape[0]):
+            st.h[t], st.s[t], u, st.gprime[t] = lif_step(xs[t], u, p, relaxed=self.relaxed)
+        self.state = st
+        return st.s
 
     def backward(self, gys):
         if self.state is None:

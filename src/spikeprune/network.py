@@ -1,6 +1,13 @@
 """Feed-forward spiking networks unrolled over T timesteps.
 
-The static input is injected as current at every timestep (direct encoding).
+The static input is injected as current at every timestep (direct encoding),
+so the layers before the first LIF see the same input at every step: they
+run once per batch on [1, N, ...], and their output is broadcast to
+[T, N, ...] at the first LIF. Backward sums that LIF's input gradient over
+T before it enters those layers, which is exact because conv, linear and
+batch-norm backward are linear in the upstream gradient and batch-norm
+statistics over T identical copies equal those over one.
+
 The classifier head is a membrane-accumulator: the final linear layer's
 output is averaged over time without a fire step, so the logits feed a
 standard cross-entropy loss. Every hidden weighted layer is followed by a
@@ -100,6 +107,17 @@ def vgg_mini(input_shape=(1, 8, 8), channels=(8, 16), classes=3, kernel=3, pool=
     layers.append(LayerSpec("flatten"))
     layers.append(LayerSpec("linear", in_features=prev * h * w, out_features=classes))
     return NetworkSpec(input_shape=tuple(input_shape), layers=layers,
+                       t_steps=t_steps, lif=lif or LIFParams())
+
+
+def linear_snn(widths, t_steps=5, lif=None) -> NetworkSpec:
+    """Fully connected stack: a LIF after every linear layer but the head."""
+    layers = []
+    for i in range(len(widths) - 1):
+        layers.append(LayerSpec("linear", in_features=widths[i], out_features=widths[i + 1]))
+        if i < len(widths) - 2:
+            layers.append(LayerSpec("lif"))
+    return NetworkSpec(input_shape=(widths[0],), layers=layers,
                        t_steps=t_steps, lif=lif or LIFParams())
 
 
@@ -203,7 +221,10 @@ class SpikingNetwork:
         self._head_index = max(
             i for i, l in enumerate(self.layers) if l.kind in WEIGHTED_KINDS
         )
-        self._forward_done = False
+        # Where the once-run prefix output is broadcast over T (module docstring).
+        self._first_lif = next((i for i, l in enumerate(self.layers) if l.kind == "lif"),
+                               len(self.layers))
+        self._t_out = None          # time extent of the last forward's output
         self.features = None
         self._build_arenas()
 
@@ -220,6 +241,10 @@ class SpikingNetwork:
         self.n_decayed = sum(size for rank, size in ranks if rank < 2)
         self._params, self._grads = self.split(self.flat), self.split(self.grad)
         self._owners = {key: (layer, name) for key, layer, name in entries}
+        self._state_owners = {f"layers.{i}.{name}": (layer, name)
+                              for i, layer in enumerate(self.layers)
+                              if isinstance(layer, BatchNorm2d)
+                              for name in layer.state_arrays()}
         for key, (layer, name) in self._owners.items():
             setattr(layer, name, self._params[key])
             setattr(layer, "d" + name, self._grads[key])
@@ -259,16 +284,11 @@ class SpikingNetwork:
         return out
 
     def state_arrays(self) -> dict:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, BatchNorm2d):
-                for name, arr in layer.state_arrays().items():
-                    out[f"layers.{i}.{name}"] = arr
-        return out
+        return {key: getattr(layer, name) for key, (layer, name) in self._state_owners.items()}
 
     def set_state_array(self, name: str, value: np.ndarray):
-        _, idx, sname = name.split(".")
-        setattr(self.layers[int(idx)], sname, np.array(value, dtype=np.float64))
+        layer, attr = self._state_owners[name]
+        setattr(layer, attr, np.array(value, dtype=np.float64))
 
     def clone(self) -> "SpikingNetwork":
         """Independent copy with identical parameters and running statistics."""
@@ -313,26 +333,30 @@ class SpikingNetwork:
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Run the net on x [N, C, H, W]; returns logits [N, classes]."""
-        x = np.asarray(x, dtype=np.float64)
+        x = np.array(x, dtype=np.float64)           # layers cache their input until backward
         if x.shape[1:] != tuple(self.spec.input_shape):
             raise DimensionError(
                 f"input shape {x.shape[1:]} != network input {tuple(self.spec.input_shape)}"
             )
         t = self.spec.t_steps
-        acts = np.broadcast_to(x, (t,) + x.shape).copy()
+        acts = x[None]
         for i, layer in enumerate(self.layers):
+            if i == self._first_lif:
+                acts = np.broadcast_to(acts, (t,) + acts.shape[1:])
             if i == self._head_index:
                 self.features = acts.mean(axis=0)
             acts = layer.forward(acts, training)
-        self._forward_done = True
+        self._t_out = acts.shape[0]
         return acts.mean(axis=0)
 
     def backward(self, dlogits: np.ndarray):
         """Propagate loss gradient through time and layers; fills layer grads."""
-        if not self._forward_done:
+        t = self._t_out
+        if t is None:
             raise StateError("backward before forward")
-        t = self.spec.t_steps
-        g = np.broadcast_to(dlogits / t, (t,) + dlogits.shape).copy()
-        for layer in reversed(self.layers):
-            g = layer.backward(g)
-        self._forward_done = False
+        g = np.broadcast_to(dlogits / t, (t,) + dlogits.shape)
+        for i in range(len(self.layers) - 1, -1, -1):
+            g = self.layers[i].backward(g)
+            if i == self._first_lif:
+                g = g.sum(axis=0, keepdims=True)
+        self._t_out = None

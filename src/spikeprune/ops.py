@@ -114,19 +114,17 @@ def conv2d_grad(upstream: np.ndarray, x: np.ndarray, weight: np.ndarray,
     win = _windows(xp, kh, kw, stride, oh, ow)
     # dW: reduce over batch and output positions.
     dw = np.tensordot(upstream, win, axes=([0, 2, 3], [0, 2, 3]))
-    # dX: expand upstream back onto input patches, one window offset at a time.
-    # [N, Cout, oh, ow] . [Cout, Cin, kh, kw] -> [N, oh, ow, Cin, kh, kw]
-    dpatch = np.tensordot(upstream, weight, axes=([1], [0]))
-    dxp = np.zeros_like(xp)
+    # dX: one GEMM expands upstream onto input patches [kh, kw, Cin, oh, ow, N];
+    # its (i, j) slabs are scattered in a fixed (i, j) order into a padded
+    # buffer with the batch innermost, so each add runs over contiguous rows.
+    dpatch = (weight.transpose(2, 3, 1, 0).reshape(-1, cout)
+              @ upstream.transpose(1, 2, 3, 0).reshape(cout, -1)
+              ).reshape(kh, kw, cin, oh, ow, n)
+    dxp = np.zeros((cin,) + xp.shape[2:] + (n,))
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += (
-                dpatch[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            )
-    if padding:
-        dx = dxp[:, :, padding:-padding, padding:-padding]
-    else:
-        dx = dxp
+            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dpatch[i, j]
+    dx = dxp[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2)
     return np.ascontiguousarray(dx), dw
 
 

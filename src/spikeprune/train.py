@@ -126,14 +126,19 @@ def load_run_state(path):
     """Returns (net, arrays, meta); mask entries (and the velocity entries of
     older files) stay in arrays."""
     arrays, meta = checkpoint.load(path)
+    if "network" not in meta:
+        raise ValueError(f"{path}: not a run-state checkpoint (its meta has no 'network' entry)")
     spec = NetworkSpec.from_dict(meta["network"])
     net = SpikingNetwork(spec, np.random.default_rng(0))
+    params, stats = net.parameters(), net.state_arrays()
     for name in list(arrays):
         if name.startswith(("velocity/", "mask/")):
             continue
-        if name.endswith((".running_mean", ".running_var")):
+        if name in stats:
             net.set_state_array(name, arrays[name])
-        else:
+        elif name in params:
             net.set_parameter(name, arrays[name])
+        else:
+            raise ValueError(f"{path}: array {name!r} is not in the network its meta describes")
     return net, arrays, meta
 

@@ -15,7 +15,7 @@ from . import checkpoint
 from .criticality import BatchScores, CriticalityTable
 from .data import DatasetSpec, make_synthetic
 from .layers import LIFParams, lif_step, surrogate_g, surrogate_gprime
-from .network import SpikingNetwork, vgg_mini
+from .network import SpikingNetwork, linear_snn, vgg_mini
 from .optim import TrainConfig, loss_ce_l1
 from .structured import ChannelPlan, count_flops, mask_channels, slim
 from .train import Trainer, fmt
@@ -85,6 +85,63 @@ def check_stbp_gradients():
         err = np.linalg.norm(grads[name] - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, err)
     return worst <= 1e-4, f"worst tensor rel err = {worst:.2e}"
+
+
+def _randomize_bn(layer, rng):
+    """Non-trivial affine parameters and running statistics for a BN layer."""
+    layer.gamma[...] = rng.uniform(0.2, 1.5, size=layer.channels)
+    layer.beta[...] = rng.normal(0, 0.2, size=layer.channels)
+    layer.running_mean = rng.normal(0, 0.5, size=layer.channels)
+    layer.running_var = rng.uniform(0.5, 2.0, size=layer.channels)
+
+
+def _t_copies_step(net, x, dlogits, training):
+    """Reference step: every layer runs on T explicit copies of the input."""
+    t = net.spec.t_steps
+    acts = np.repeat(x[None], t, axis=0)
+    for layer in net.layers:
+        acts = layer.forward(acts, training)
+    g = np.repeat(dlogits[None] / t, t, axis=0)
+    for layer in reversed(net.layers):
+        g = layer.backward(g)
+    return acts.mean(axis=0)
+
+
+def _rel(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+SMALL_PREFIX_SPECS = (vgg_mini(input_shape=(1, 6, 6), channels=(2, 2), classes=2, t_steps=3),
+                      linear_snn([5, 4, 3], t_steps=3))
+
+
+def check_prefix_once(specs=SMALL_PREFIX_SPECS, batch=4):
+    """SpikingNetwork runs the layers before the first LIF once and broadcasts
+    over T; it must match T explicit copies in logits, spike and g' traces,
+    every gradient and the BN running statistics, in training and eval mode."""
+    worst = 0.0
+    for k, spec in enumerate(specs):
+        for training in (True, False):
+            rng = np.random.default_rng(10 + k)
+            net = SpikingNetwork(spec, rng)
+            for layer in net.layers:
+                if layer.kind == "batchnorm":
+                    _randomize_bn(layer, rng)
+            ref = net.clone()
+            x = 2.0 * rng.normal(size=(batch,) + tuple(spec.input_shape))
+            dlogits = rng.normal(size=(batch, spec.layers[-1].out_features))
+            pairs = [(net.forward(x, training), _t_copies_step(ref, x, dlogits, training))]
+            net.backward(dlogits)
+            for i, st in net.lif_states().items():
+                pairs += [(st.s, ref.layers[i].state.s), (st.gprime, ref.layers[i].state.gprime)]
+            pairs.append((net.grad, ref.grad))
+            ref_stats = ref.state_arrays()
+            pairs += [(a, ref_stats[name]) for name, a in net.state_arrays().items()]
+            err = max(_rel(a, b) for a, b in pairs)
+            if err > 1e-12:
+                return False, f"spec {k}, training={training}: rel diff {err:.2e}"
+            worst = max(worst, err)
+    return True, f"{len(specs)} nets x train/eval match T copies, worst rel diff {worst:.1e}"
 
 
 def check_schedule():
@@ -175,10 +232,7 @@ def check_slim_equivalence():
         keep, widths = {}, {}
         for i, layer in enumerate(net.layers):
             if layer.kind == "batchnorm":
-                layer.gamma[...] = rng.uniform(0.2, 1.5, size=layer.channels)
-                layer.beta[...] = rng.normal(0, 0.2, size=layer.channels)
-                layer.running_mean = rng.normal(0, 0.5, size=layer.channels)
-                layer.running_var = rng.uniform(0.5, 2.0, size=layer.channels)
+                _randomize_bn(layer, rng)
                 n_keep = int(rng.integers(1, layer.channels + 1))
                 keep[i] = sorted(rng.choice(layer.channels, n_keep, replace=False).tolist())
                 widths[i] = layer.channels
@@ -274,6 +328,7 @@ def run_all(tmp_dir: str) -> list:
         ("surrogate", check_surrogate),
         ("lif-dynamics", check_lif_dynamics),
         ("stbp-gradients", check_stbp_gradients),
+        ("prefix-once", check_prefix_once),
         ("sparsity-schedule", check_schedule),
         ("sparsity-exactness", check_sparsity_exactness),
         ("regeneration-topk", check_regeneration_oracle),

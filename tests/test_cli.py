@@ -1,6 +1,7 @@
 """Subcommand surface: artifacts, determinism, resume audit, error lines."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -194,6 +195,69 @@ class TestErrors:
             err = capsys.readouterr().err.splitlines()
             assert rc == 2, n
             assert len(err) == 1 and err[0].startswith("error:") and "cut.ckpt" in err[0], n
+
+    def _one_error_line(self, argv, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        return err[0]
+
+    @pytest.mark.parametrize("metric", ["variance", "cosine"])
+    def test_checkpoint_without_network_meta(self, tmp_path, capsys, metric):
+        """A mask-history file is a valid checkpoint but not a run state."""
+        from spikeprune import checkpoint
+        hist = tmp_path / "mask_history.ckpt"
+        checkpoint.save(hist, {"it0001.post_prune": np.ones(4), "it0001.post_regen": np.ones(4)},
+                        {"iterations": 1, "total": 4})
+        err = self._one_error_line(["analyze", "--checkpoint", str(hist), "--metric", metric,
+                                    "--out", str(tmp_path / "o")], capsys)
+        assert "mask_history.ckpt" in err and "network" in err
+
+    def test_checkpoint_array_outside_network(self, tmp_path, capsys):
+        from spikeprune import checkpoint
+        from spikeprune.network import vgg_mini
+        odd = tmp_path / "odd.ckpt"
+        checkpoint.save(odd, {"layers.3.weight": np.ones((2, 1, 3, 3))},
+                        {"network": vgg_mini().to_dict()})
+        err = self._one_error_line(["analyze", "--checkpoint", str(odd), "--metric", "variance",
+                                    "--out", str(tmp_path / "o")], capsys)
+        assert "odd.ckpt" in err and "layers.3.weight" in err
+
+    def _idx_run(self, tmp_path, images: bytes, labels: bytes):
+        def idx(arr):
+            return bytes([0, 0, 0x08, arr.ndim]) + struct.pack(f">{arr.ndim}I", *arr.shape) \
+                + arr.tobytes()
+
+        files = {"train_images": images, "train_labels": labels,
+                 "test_images": idx(np.zeros((4, 8, 8), dtype=np.uint8)),
+                 "test_labels": idx(np.zeros(4, dtype=np.uint8))}
+        cfg = tmp_path / "idx.cfg"
+        lines = ["dataset = idx"]
+        for key, blob in files.items():
+            (tmp_path / f"{key}.idx").write_bytes(blob)
+            lines.append(f"idx_{key} = {tmp_path / f'{key}.idx'}")
+        cfg.write_text("\n".join(lines) + "\n")
+        return ["train", "--config", str(cfg), "--out", str(tmp_path / "o")]
+
+    def test_idx_header_truncated_in_dims(self, tmp_path, capsys):
+        images = bytes([0, 0, 0x08, 3]) + struct.pack(">I", 5)      # 1 of 3 dims present
+        labels = bytes([0, 0, 0x08, 1]) + struct.pack(">I", 5) + bytes(5)
+        err = self._one_error_line(self._idx_run(tmp_path, images, labels), capsys)
+        assert "train_images.idx" in err and "truncated" in err
+
+    def test_idx_image_label_count_mismatch(self, tmp_path, capsys):
+        images = bytes([0, 0, 0x08, 3]) + struct.pack(">3I", 5, 8, 8) + bytes(5 * 64)
+        labels = bytes([0, 0, 0x08, 1]) + struct.pack(">I", 4) + bytes(4)
+        err = self._one_error_line(self._idx_run(tmp_path, images, labels), capsys)
+        assert "train_images.idx" in err and "train_labels.idx" in err
+
+    def test_nonpositive_normalize_std(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("normalize_std = 0\n")
+        err = self._one_error_line(["train", "--config", str(bad),
+                                    "--out", str(tmp_path / "o")], capsys)
+        assert "normalize_std" in err
 
     def test_resume_seed_mismatch(self, tiny_cfg, capsys):
         cfg, root = tiny_cfg

@@ -24,7 +24,7 @@ from spikeprune.network import SpikingNetwork, vgg_mini
 def state_from_gprime(gp):
     gp = np.asarray(gp, dtype=float)
     z = np.zeros_like(gp)
-    return LIFState(h=z, s=z, u=z, gprime=gp)
+    return LIFState(h=z, s=z, gprime=gp)
 
 
 class TestScoreBatch:

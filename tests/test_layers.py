@@ -97,10 +97,15 @@ class TestLIFLayer:
     def test_reset_invariant(self):
         rng = np.random.default_rng(1)
         params = LIFParams(TAU, 1.0, 0.0)
-        layer, _ = self._run(rng.normal(0, 2, size=16), params)
+        inputs = rng.normal(0, 2, size=16)
+        layer, _ = self._run(inputs, params)
         st_ = layer.state
-        fired = st_.s == 1.0
-        assert np.all(st_.u[fired] == params.v_reset)
+        # The layer records no membrane trace: replay lif_step for the reset.
+        u = np.full((1, 1), params.v_reset)
+        for t, x in enumerate(inputs.reshape(-1, 1, 1)):
+            _, s, u, _ = lif_step(x, u, params)
+            assert np.array_equal(s, st_.s[t])
+            assert np.all(u[s == 1.0] == params.v_reset)
         assert np.all(st_.s[st_.h >= params.v_threshold] == 1.0)
         assert np.all(st_.s[st_.h < params.v_threshold] == 0.0)
 

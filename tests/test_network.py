@@ -8,21 +8,19 @@ import pytest
 from conftest import tiny_run
 from spikeprune import checkpoint
 from spikeprune.errors import DimensionError, StateError
-from spikeprune.layers import LIFParams, surrogate_gprime
-from spikeprune.network import LayerSpec, NetworkSpec, SpikingNetwork, validate_spec, vgg_mini
+from spikeprune.layers import LIF, BatchNorm2d, Conv2d, LIFParams, lif_step, surrogate_gprime
+from spikeprune.network import (
+    LayerSpec,
+    NetworkSpec,
+    SpikingNetwork,
+    linear_snn,
+    validate_spec,
+    vgg_mini,
+)
 from spikeprune.optim import loss_ce_l1
+from spikeprune.verify import check_prefix_once
 
 TAU = 4.0 / 3.0
-
-
-def linear_snn(widths, t_steps, lif=None):
-    layers = []
-    for i in range(len(widths) - 1):
-        layers.append(LayerSpec("linear", in_features=widths[i], out_features=widths[i + 1]))
-        if i < len(widths) - 2:
-            layers.append(LayerSpec("lif"))
-    return NetworkSpec(input_shape=(widths[0],), layers=layers,
-                       t_steps=t_steps, lif=lif or LIFParams())
 
 
 class TestForward:
@@ -84,15 +82,53 @@ class TestForward:
         with pytest.raises(DimensionError):
             net.forward(np.zeros((2, 1, 9, 9)))
 
-    def test_spikes_binary_everywhere(self):
+    def test_spikes_binary_everywhere(self, monkeypatch):
         rng = np.random.default_rng(4)
         net = SpikingNetwork(vgg_mini(channels=(4, 4)), rng)
+        inputs = {}
+        forward = LIF.forward
+
+        def recording(layer, xs, training):
+            inputs[id(layer)] = xs
+            return forward(layer, xs, training)
+
+        monkeypatch.setattr(LIF, "forward", recording)
         net.forward(rng.normal(size=(4, 1, 8, 8)), training=True)
-        for st in net.lif_states().values():
+        for i, st in net.lif_states().items():
             assert set(np.unique(st.s)) <= {0.0, 1.0}
-            fired = st.s == 1.0
-            assert np.all(st.u[fired] == 0.0)
+            # No membrane trace is recorded: replay lif_step for the reset.
+            xs = inputs[id(net.layers[i])]
+            u = np.zeros(xs.shape[1:])
+            for t in range(xs.shape[0]):
+                _, s, u, _ = lif_step(xs[t], u, net.spec.lif)
+                assert np.array_equal(s, st.s[t])
+                assert np.all(u[s == 1.0] == 0.0)
             np.testing.assert_array_equal(st.gprime, surrogate_gprime(st.h - 1.0))
+
+
+class TestPrefixOnce:
+    def test_matches_t_copies_at_desk_size(self):
+        """The layers before the first LIF run once; the verify property at the
+        desk network width and a deeper fully connected stack."""
+        specs = (vgg_mini(channels=(12, 24), t_steps=5), linear_snn([16, 12, 8, 3], t_steps=5))
+        ok, detail = check_prefix_once(specs, batch=32)
+        assert ok, detail
+
+    def test_prefix_runs_once(self, monkeypatch):
+        """conv 0 and BN 1 see one copy of the batch; every later layer sees T."""
+        net = SpikingNetwork(vgg_mini(t_steps=5), np.random.default_rng(0))
+        seen = {}
+
+        def recording(forward):
+            def wrapped(layer, xs, training):
+                seen[net.layers.index(layer)] = xs.shape[:2]
+                return forward(layer, xs, training)
+            return wrapped
+
+        for cls in (Conv2d, BatchNorm2d, LIF):
+            monkeypatch.setattr(cls, "forward", recording(cls.forward))
+        net.forward(np.ones((2, 1, 8, 8)), training=True)
+        assert seen == {0: (1, 2), 1: (1, 2), 2: (5, 2), 4: (5, 2), 5: (5, 2), 6: (5, 2)}
 
 
 class TestBackward:
