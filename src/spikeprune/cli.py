@@ -56,6 +56,11 @@ def _out_dir(args, cfg: ExperimentConfig, sub: str) -> str:
     return path
 
 
+def _write_json(path, obj):
+    with checkpoint.atomic_write(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, sort_keys=True, indent=2)
+
+
 def _load_cfg(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
@@ -156,14 +161,13 @@ def cmd_prune_unstructured(args) -> int:
 
     hist_arrays = {}
     for i, (post_prune, post_regen) in enumerate(res.mask_history, start=1):
-        hist_arrays[f"it{i:04d}.post_prune"] = post_prune.astype(np.float64)
-        hist_arrays[f"it{i:04d}.post_regen"] = post_regen.astype(np.float64)
+        hist_arrays[f"it{i:04d}.post_prune"] = post_prune
+        hist_arrays[f"it{i:04d}.post_regen"] = post_regen
     checkpoint.save(os.path.join(out, "mask_history.ckpt"), hist_arrays,
                     {"iterations": len(res.mask_history), "total": res.mask.size})
 
     report = survival_report(res.ledger, res.mask)
-    with open(os.path.join(out, "survival.json"), "w", encoding="utf-8") as f:
-        json.dump(report, f, sort_keys=True, indent=2)
+    _write_json(os.path.join(out, "survival.json"), report)
 
     save_run_state(
         os.path.join(out, "checkpoint_final.ckpt"), net,
@@ -195,16 +199,14 @@ def cmd_prune_structured(args) -> int:
     write_csv(os.path.join(out, "finetune_log.csv"), EPOCH_HEADER, res.finetune_rows)
     write_csv(os.path.join(out, "criticality.csv"), "layer,unit,score",
               scores_to_rows(res.channel_scores))
-    with open(os.path.join(out, "flops.json"), "w", encoding="utf-8") as f:
-        json.dump(res.flops.to_dict(), f, sort_keys=True, indent=2)
+    _write_json(os.path.join(out, "flops.json"), res.flops.to_dict())
 
     surviving = np.zeros(res.plan.total_channels, dtype=bool)
     pairs = [(l, c) for l in sorted(res.plan.widths) for c in range(res.plan.widths[l])]
     for i, (l, c) in enumerate(pairs):
         surviving[i] = c in set(res.plan.keep[l])
     report = survival_report(res.ledger, surviving)
-    with open(os.path.join(out, "survival.json"), "w", encoding="utf-8") as f:
-        json.dump(report, f, sort_keys=True, indent=2)
+    _write_json(os.path.join(out, "survival.json"), report)
 
     save_run_state(
         os.path.join(out, "checkpoint_l1.ckpt"), net,
@@ -280,15 +282,14 @@ def cmd_analyze(args) -> int:
         mean_a, mean_b, rows = result
         write_csv(os.path.join(out, "transition.csv"),
                   "side,layer,channel,gamma_norm", rows)
-        with open(os.path.join(out, "transition_summary.json"), "w", encoding="utf-8") as f:
-            json.dump({"mean_a": mean_a, "mean_b": mean_b}, f, sort_keys=True, indent=2)
+        _write_json(os.path.join(out, "transition_summary.json"),
+                    {"mean_a": mean_a, "mean_b": mean_b})
     elif args.metric == "survival":
         run_dir = os.path.dirname(os.path.abspath(args.checkpoint))
         hist_path = os.path.join(run_dir, "mask_history.ckpt")
         arrays, meta = checkpoint.load(hist_path)
         history = [
-            (arrays[f"it{i:04d}.post_prune"].astype(bool),
-             arrays[f"it{i:04d}.post_regen"].astype(bool))
+            (arrays[f"it{i:04d}.post_prune"], arrays[f"it{i:04d}.post_regen"])
             for i in range(1, meta["iterations"] + 1)
         ]
         report = replay_mask_history(np.ones(meta["total"], dtype=bool), history)
@@ -296,8 +297,7 @@ def cmd_analyze(args) -> int:
                 for it in report["iterations"]]
         write_csv(os.path.join(out, "survival.csv"),
                   "iteration,pruned,regenerated,rescue_fraction", rows)
-        with open(os.path.join(out, "survival_recomputed.json"), "w", encoding="utf-8") as f:
-            json.dump(report, f, sort_keys=True, indent=2)
+        _write_json(os.path.join(out, "survival_recomputed.json"), report)
     print(f"analyze: {args.metric} written to {out}")
     return 0
 

@@ -1,7 +1,7 @@
 """Training loop around one network: batching, SGD steps over the
 network's flat parameter arena, evaluation, per-epoch CSV rows, and run-state
 checkpoints (parameters, BN running statistics, the prune mask as per-tensor
-0/1 entries, and the RNG stream) from which a run resumes bit-identically.
+bool entries, and the RNG stream) from which a run resumes bit-identically.
 The optimizer velocity is not saved: every phase starts a fresh SGD.
 """
 
@@ -11,6 +11,7 @@ import numpy as np
 
 from . import checkpoint
 from .data import Dataset
+from .errors import NumericError
 from .network import NetworkSpec, SpikingNetwork
 from .optim import SGD, TrainConfig, accuracy, loss_ce_l1, lr_at
 
@@ -25,7 +26,7 @@ def fmt(v) -> str:
 
 
 def write_csv(path, header: str, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with checkpoint.atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(header + "\n")
         for row in rows:
             f.write(",".join(fmt(v) for v in row) + "\n")
@@ -40,6 +41,7 @@ class Trainer:
         self.rng = rng
         self.optim = SGD(net.flat.size, net.n_decayed, cfg)
         self.steps_per_epoch = -(-data.x_train.shape[0] // cfg.batch_size)
+        self.steps_done = 0
 
     def batches(self):
         """One epoch of shuffled training batches (one permutation draw)."""
@@ -51,18 +53,33 @@ class Trainer:
 
     def train_step(self, x, y, lr: float, mask: np.ndarray | None = None,
                    lambda_l1: float = 0.0):
-        """One SGD step; mask is a bool vector over net.flat[:net.n_prunable]."""
-        params = self.net.parameters()
-        logits = self.net.forward(x, training=True)
-        gammas = ({name: p for name, p in params.items() if name.endswith(".gamma")}
-                  if lambda_l1 > 0 else None)
-        loss, dlogits, l1_grads = loss_ce_l1(logits, y, gammas, lambda_l1)
-        acc = accuracy(logits, y)
-        self.net.backward(dlogits)
-        grads = self.net.grads()
-        for name, g in l1_grads.items():
-            grads[name] += g
-        self.optim.step(self.net.flat, self.net.grad, lr, mask)
+        """One SGD step; mask is a bool vector over net.flat[:net.n_prunable].
+
+        Raises NumericError naming the epoch, the step and the lr when the
+        step meets a non-finite value or leaves a non-finite loss or
+        parameter; numpy's overflow warnings are silenced in its place."""
+        self.steps_done += 1
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                params = self.net.parameters()
+                logits = self.net.forward(x, training=True)
+                gammas = ({name: p for name, p in params.items() if name.endswith(".gamma")}
+                          if lambda_l1 > 0 else None)
+                loss, dlogits, l1_grads = loss_ce_l1(logits, y, gammas, lambda_l1)
+                acc = accuracy(logits, y)
+                self.net.backward(dlogits)
+                grads = self.net.grads()
+                for name, g in l1_grads.items():
+                    grads[name] += g
+                self.optim.step(self.net.flat, self.net.grad, lr, mask)
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite loss {float(loss)}")
+            if not np.isfinite(self.net.flat).all():
+                raise NumericError("the SGD step left a non-finite parameter")
+        except NumericError as exc:
+            epoch = (self.steps_done - 1) // self.steps_per_epoch
+            raise NumericError(f"training diverged at epoch {epoch}, step {self.steps_done}, "
+                               f"lr {float(lr)!r}: {exc}") from None
         return float(loss), acc
 
     def evaluate(self, split: str = "test", batch_size: int = 256):
@@ -107,13 +124,13 @@ def restore_rng(rng: np.random.Generator, state: dict):
 def save_run_state(path, net: SpikingNetwork, meta_extra: dict | None = None,
                    mask: np.ndarray | None = None, rng: np.random.Generator | None = None):
     """Write parameters, running statistics and, given a bool prune mask over
-    net.flat[:net.n_prunable], one 0/1 `mask/<param>` entry per weight tensor."""
+    net.flat[:net.n_prunable], one bool `mask/<param>` entry per weight tensor."""
     arrays = {}
     arrays.update(net.parameters())
     arrays.update(net.state_arrays())
     if mask is not None:
         for name, m in net.split(mask).items():
-            arrays[f"mask/{name}"] = m.astype(np.float64)
+            arrays[f"mask/{name}"] = m
     meta = {"network": net.spec.to_dict()}
     if rng is not None:
         meta["rng_state"] = rng_state(rng)

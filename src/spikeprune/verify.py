@@ -289,17 +289,24 @@ def check_criticality_partition():
 
 
 def check_checkpoint_roundtrip(tmp_dir):
+    """Float and bit-packed bool entries (15 mask bits: one padded byte)."""
     rng = np.random.default_rng(7)
-    arrays = {"w": rng.normal(size=(3, 4)), "mask/w": np.ones((3, 4))}
+    arrays = {"w": rng.normal(size=(3, 5)), "mask/w": rng.random((3, 5)) < 0.5}
     meta = {"note": "roundtrip", "nested": {"a": 1}}
-    p1 = f"{tmp_dir}/v1.ckpt"
-    p2 = f"{tmp_dir}/v2.ckpt"
+    p1 = f"{tmp_dir}/first.ckpt"
+    p2 = f"{tmp_dir}/second.ckpt"
     checkpoint.save(p1, arrays, meta)
     loaded, meta2 = checkpoint.load(p1)
     checkpoint.save(p2, loaded, meta2)
     with open(p1, "rb") as f1, open(p2, "rb") as f2:
         same = f1.read() == f2.read()
-    return same, "save -> load -> save byte-identical" if same else "bytes differ"
+    mask = loaded["mask/w"]
+    mask_ok = mask.dtype == np.bool_ and np.array_equal(mask, arrays["mask/w"])
+    if not same:
+        return False, "bytes differ"
+    if not mask_ok:
+        return False, f"bool mask came back as {mask.dtype} or with other values"
+    return True, "save -> load -> save byte-identical, bool mask bit-packed"
 
 
 def _mini_run_csv(seed) -> str:

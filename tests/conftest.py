@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -24,3 +27,18 @@ def tiny_run(seed=0, channels=(2, 3), n_train=24, n_test=12, batch=8, epochs=6,
 @pytest.fixture
 def tiny():
     return tiny_run()
+
+
+def save_v1(path, arrays: dict, meta: dict):
+    """Write a checkpoint in the version-1 layout: no dtype byte, every
+    entry float64 (what save wrote before bool entries were bit-packed)."""
+    meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    parts = [b"SPKC\x01", struct.pack("<Q", len(meta_blob)), meta_blob,
+             struct.pack("<Q", len(arrays))]
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+        blob = name.encode("utf-8")
+        parts += [struct.pack("<I", len(blob)), blob, struct.pack("<I", arr.ndim),
+                  struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.tobytes()]
+    with open(path, "wb") as f:
+        f.write(b"".join(parts))

@@ -6,6 +6,8 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import save_v1
+from spikeprune import checkpoint
 from spikeprune.cli import main
 
 TINY = """
@@ -100,6 +102,34 @@ class TestSubcommands:
         recomputed = json.loads((root / "a" / "survival_recomputed.json").read_text())
         assert live == recomputed
 
+    def test_mask_history_is_bit_packed(self, tiny_cfg):
+        """One bit per prunable weight per mask, two masks per prune event,
+        plus a fixed allowance per entry (name, dims, dtype byte) and for the
+        header: float64 masks would take 64 times the mask bytes."""
+        cfg, root = tiny_cfg
+        main(["prune-unstructured", "--config", cfg, "--out", str(root / "u")])
+        hist = root / "u" / "mask_history.ckpt"
+        arrays, meta = checkpoint.load(hist)
+        n, iterations = meta["total"], meta["iterations"]
+        assert iterations > 0 and len(arrays) == 2 * iterations
+        assert all(a.dtype == bool and a.size == n for a in arrays.values())
+        allowance = 256 + 64 * len(arrays)
+        assert hist.stat().st_size <= 2 * -(-n // 8) * iterations + allowance
+
+    def test_analyze_survival_reads_v1_history(self, tiny_cfg):
+        """A version-1 (float64) mask history replays to the same report."""
+        cfg, root = tiny_cfg
+        main(["prune-unstructured", "--config", cfg, "--out", str(root / "u")])
+        ckpt = str(root / "u" / "checkpoint_final.ckpt")
+        main(["analyze", "--checkpoint", ckpt, "--metric", "survival", "--out", str(root / "a2")])
+        hist = root / "u" / "mask_history.ckpt"
+        assert read(hist)[:5] == b"SPKC\x02"
+        arrays, meta = checkpoint.load(hist)
+        save_v1(hist, arrays, meta)
+        main(["analyze", "--checkpoint", ckpt, "--metric", "survival", "--out", str(root / "a1")])
+        assert read(root / "a1" / "survival_recomputed.json") == \
+            read(root / "a2" / "survival_recomputed.json")
+
     def test_transition_between_two_structured_runs(self, tiny_cfg):
         cfg, root = tiny_cfg
         main(["prune-structured", "--config", cfg, "--out", str(root / "s1")])
@@ -150,7 +180,6 @@ class TestDeterminism:
 
     def test_checkpoint_save_load_save_identical(self, tiny_cfg):
         cfg, root = tiny_cfg
-        from spikeprune import checkpoint
         main(["train", "--config", cfg, "--out", str(root / "t")])
         p = root / "t" / "checkpoint.ckpt"
         arrays, meta = checkpoint.load(p)
@@ -182,9 +211,9 @@ class TestErrors:
         assert "key 's': must be >= 0" in capsys.readouterr().err
 
     def test_truncated_checkpoint_every_offset(self, tmp_path, capsys):
-        from spikeprune import checkpoint
         whole = tmp_path / "whole.ckpt"
-        checkpoint.save(whole, {"a": np.arange(6.0).reshape(2, 3), "b": np.array(2.5)},
+        checkpoint.save(whole, {"a": np.arange(6.0).reshape(2, 3), "b": np.array(2.5),
+                                "mask/c": np.array([True, False, True])},
                         {"network": {}, "note": "small"})
         blob = whole.read_bytes()
         cut = tmp_path / "cut.ckpt"
@@ -196,6 +225,13 @@ class TestErrors:
             assert rc == 2, n
             assert len(err) == 1 and err[0].startswith("error:") and "cut.ckpt" in err[0], n
 
+    def test_diverging_lr_names_epoch_step_and_lr(self, tiny_cfg, capsys):
+        cfg, root = tiny_cfg
+        with open(cfg, "a") as f:
+            f.write("lr = 1e300\n")
+        err = self._one_error_line(["train", "--config", cfg, "--out", str(root / "t")], capsys)
+        assert "epoch 0, step 2, lr 1e+300" in err
+
     def _one_error_line(self, argv, capsys):
         rc = main(argv)
         err = capsys.readouterr().err.splitlines()
@@ -206,7 +242,6 @@ class TestErrors:
     @pytest.mark.parametrize("metric", ["variance", "cosine"])
     def test_checkpoint_without_network_meta(self, tmp_path, capsys, metric):
         """A mask-history file is a valid checkpoint but not a run state."""
-        from spikeprune import checkpoint
         hist = tmp_path / "mask_history.ckpt"
         checkpoint.save(hist, {"it0001.post_prune": np.ones(4), "it0001.post_regen": np.ones(4)},
                         {"iterations": 1, "total": 4})
@@ -215,7 +250,6 @@ class TestErrors:
         assert "mask_history.ckpt" in err and "network" in err
 
     def test_checkpoint_array_outside_network(self, tmp_path, capsys):
-        from spikeprune import checkpoint
         from spikeprune.network import vgg_mini
         odd = tmp_path / "odd.ckpt"
         checkpoint.save(odd, {"layers.3.weight": np.ones((2, 1, 3, 3))},
@@ -294,7 +328,6 @@ class TestErrors:
         main(["prune-unstructured", "--config", cfg, "--out", str(root / "a")])
         main(["prune-unstructured", "--config", cfg, "--gmp-only",
               "--out", str(root / "b")])
-        from spikeprune import checkpoint
         arrays_a, _ = checkpoint.load(root / "a" / "checkpoint_final.ckpt")
         arrays_b, _ = checkpoint.load(root / "b" / "checkpoint_final.ckpt")
         for name in arrays_a:

@@ -5,7 +5,7 @@ oracles, relaxed-mode finite differences, and checkpoint round-trips.
 import numpy as np
 import pytest
 
-from conftest import tiny_run
+from conftest import save_v1, tiny_run
 from spikeprune import checkpoint
 from spikeprune.errors import DimensionError, StateError
 from spikeprune.layers import LIF, BatchNorm2d, Conv2d, LIFParams, lif_step, surrogate_gprime
@@ -269,11 +269,15 @@ class TestSpecValidation:
 
 class TestCheckpoint:
     def test_roundtrip_byte_identical(self, tmp_path):
+        """Float and bool entries; bool lengths 36, 13 and a 0-d scalar leave
+        padding bits in their last byte."""
         rng = np.random.default_rng(9)
         arrays = {
             "layers.0.weight": rng.normal(size=(4, 1, 3, 3)),
             "scalar": np.array(3.5),
-            "mask/layers.0.weight": np.ones((4, 1, 3, 3)),
+            "mask/layers.0.weight": rng.random((4, 1, 3, 3)) < 0.5,
+            "odd": rng.random(13) < 0.5,
+            "flag": np.array(True),
         }
         meta = {"network": vgg_mini().to_dict(), "note": "x"}
         p1 = tmp_path / "a.ckpt"
@@ -283,7 +287,65 @@ class TestCheckpoint:
         checkpoint.save(p2, loaded, meta2)
         assert p1.read_bytes() == p2.read_bytes()
         for k in arrays:
+            assert loaded[k].dtype == (bool if arrays[k].dtype == bool else np.float64), k
+            assert loaded[k].flags.writeable, k
             np.testing.assert_array_equal(arrays[k], loaded[k])
+
+    def _corrupt_code(self, tmp_path, code: bytes, last_byte: int | None = None):
+        """A one-entry bool checkpoint with its dtype byte (and optionally its
+        last data byte) overwritten; returns the path and the dtype byte offset."""
+        p = tmp_path / "c.ckpt"
+        checkpoint.save(p, {"m": np.ones(5, dtype=bool)}, {})
+        blob = bytearray(p.read_bytes())
+        at = len(blob) - 2          # one dtype byte, then ceil(5/8) = 1 data byte
+        assert blob[at:] == b"b\xf8"
+        blob[at:at + 1] = code
+        if last_byte is not None:
+            blob[-1] = last_byte
+        p.write_bytes(bytes(blob))
+        return p, at
+
+    def test_unknown_dtype_code_names_path_and_offset(self, tmp_path):
+        p, at = self._corrupt_code(tmp_path, b"q")
+        with pytest.raises(ValueError, match=rf"c\.ckpt: .*dtype code b'q' at byte offset {at}"):
+            checkpoint.load(p)
+
+    def test_nonzero_padding_bits_name_path_and_offset(self, tmp_path):
+        p, at = self._corrupt_code(tmp_path, b"b", last_byte=0xF9)
+        with pytest.raises(ValueError, match=rf"c\.ckpt: .*padding bits at byte offset {at + 1}"):
+            checkpoint.load(p)
+
+    def test_failed_save_leaves_previous_file(self, tmp_path):
+        """An entry that cannot become float64 fails the save after earlier
+        entries were written: the old file stays and no temporary is left."""
+        p = tmp_path / "keep.ckpt"
+        checkpoint.save(p, {"w": np.ones(3)}, {"note": "old"})
+        before = p.read_bytes()
+        with pytest.raises(ValueError):
+            checkpoint.save(p, {"a": np.zeros(1000), "z": np.array(["not a number"])},
+                            {"note": "new"})
+        assert p.read_bytes() == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["keep.ckpt"]
+
+    def test_v1_file_loads_through_load_run_state(self, tmp_path):
+        """A version-1 run state, with float64 0/1 masks, still loads."""
+        from spikeprune.train import load_run_state, save_run_state
+        rng = np.random.default_rng(16)
+        net = SpikingNetwork(vgg_mini(channels=(2, 3)), rng)
+        mask = rng.random(net.n_prunable) < 0.5
+        path = tmp_path / "net.ckpt"
+        save_run_state(path, net, mask=mask, rng=rng)
+        arrays, meta = checkpoint.load(path)
+        assert all(arrays[f"mask/{name}"].dtype == bool for name in net.split(mask))
+        old = tmp_path / "old.ckpt"
+        save_v1(old, arrays, meta)
+        assert old.read_bytes()[:5] == b"SPKC\x01"
+        net2, arrays2, meta2 = load_run_state(old)
+        np.testing.assert_array_equal(net2.flat, net.flat)
+        assert meta2 == meta
+        for name, m in net.split(mask).items():
+            assert arrays2[f"mask/{name}"].dtype == np.float64
+            np.testing.assert_array_equal(arrays2[f"mask/{name}"], m)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.ckpt"
