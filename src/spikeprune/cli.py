@@ -40,6 +40,7 @@ from .train import (
     PRUNE_HEADER,
     Trainer,
     load_run_state,
+    meta_entry,
     restore_rng,
     save_run_state,
     write_csv,
@@ -130,7 +131,7 @@ def cmd_prune_unstructured(args) -> int:
     out = _out_dir(args, cfg, "unstructured")
     if args.resume:
         net, _, meta = load_run_state(args.resume)
-        prev = ExperimentConfig.from_dict(meta["config"])
+        prev = meta_entry(args.resume, meta, "config", ExperimentConfig.from_dict)
         if prev.seed != cfg.seed:
             raise ConfigError(f"resume checkpoint was seeded {prev.seed}, config says {cfg.seed}")
         if meta.get("epochs_done") != cfg.N_pre:
@@ -141,7 +142,7 @@ def cmd_prune_unstructured(args) -> int:
         # state already accounts for everything up to the end of pretraining
         data = load_dataset(cfg.dataset_spec(), np.random.default_rng(cfg.seed))
         rng = np.random.default_rng(cfg.seed)
-        restore_rng(rng, meta["rng_state"])
+        meta_entry(args.resume, meta, "rng_state", lambda state: restore_rng(rng, state))
     else:
         rng, data, net = _fresh_run(cfg)
         if cfg.N_pre > 0:
@@ -201,10 +202,9 @@ def cmd_prune_structured(args) -> int:
               scores_to_rows(res.channel_scores))
     _write_json(os.path.join(out, "flops.json"), res.flops.to_dict())
 
+    index_of = res.plan.flat_index()
     surviving = np.zeros(res.plan.total_channels, dtype=bool)
-    pairs = [(l, c) for l in sorted(res.plan.widths) for c in range(res.plan.widths[l])]
-    for i, (l, c) in enumerate(pairs):
-        surviving[i] = c in set(res.plan.keep[l])
+    surviving[[index_of[(l, c)] for l, keep in res.plan.keep.items() for c in keep]] = True
     report = survival_report(res.ledger, surviving)
     _write_json(os.path.join(out, "survival.json"), report)
 
@@ -233,7 +233,7 @@ def cmd_prune_structured(args) -> int:
 
 def _banks_from_checkpoint(path):
     net, _, meta = load_run_state(path)
-    cfg = ExperimentConfig.from_dict(meta["config"])
+    cfg = meta_entry(path, meta, "config", ExperimentConfig.from_dict)
     data = load_dataset(cfg.dataset_spec(), np.random.default_rng(cfg.seed))
     train = FeatureBank(extract_features(net, data.x_train), data.y_train, "train").normalize()
     test = FeatureBank(extract_features(net, data.x_test), data.y_test, "test").normalize()
@@ -244,7 +244,7 @@ def _gammas_over_original_axis(path):
     net, _, meta = load_run_state(path)
     if "plan" not in meta:
         raise ConfigError(f"{path}: checkpoint has no channel plan (not a slimmed model)")
-    plan = ChannelPlan.from_dict(meta["plan"])
+    plan = meta_entry(path, meta, "plan", ChannelPlan.from_dict)
     gammas = {}
     for layer, keep in plan.keep.items():
         full = np.zeros(plan.widths[layer])
@@ -288,11 +288,18 @@ def cmd_analyze(args) -> int:
         run_dir = os.path.dirname(os.path.abspath(args.checkpoint))
         hist_path = os.path.join(run_dir, "mask_history.ckpt")
         arrays, meta = checkpoint.load(hist_path)
-        history = [
-            (arrays[f"it{i:04d}.post_prune"], arrays[f"it{i:04d}.post_regen"])
-            for i in range(1, meta["iterations"] + 1)
-        ]
-        report = replay_mask_history(np.ones(meta["total"], dtype=bool), history)
+        iterations = meta_entry(hist_path, meta, "iterations", int)
+        total = meta_entry(hist_path, meta, "total", int)
+
+        def entry(name):
+            if name not in arrays or arrays[name].shape != (total,):
+                raise ValueError(f"{hist_path}: the mask history has no entry {name!r} "
+                                 f"of {total} mask bits")
+            return arrays[name]
+
+        history = [(entry(f"it{i:04d}.post_prune"), entry(f"it{i:04d}.post_regen"))
+                   for i in range(1, iterations + 1)]
+        report = replay_mask_history(np.ones(total, dtype=bool), history)
         rows = [(it["iteration"], it["pruned"], it["regenerated"], it["rescue_fraction"])
                 for it in report["iterations"]]
         write_csv(os.path.join(out, "survival.csv"),

@@ -25,6 +25,8 @@ class ChannelPlan:
 
     def __post_init__(self):
         for layer, idx in self.keep.items():
+            if layer not in self.widths:
+                raise ArgumentError(f"layer {layer}: the plan keeps channels but has no width")
             width = self.widths[layer]
             if len(idx) == 0:
                 raise ArgumentError(f"layer {layer}: a channel plan needs >= 1 survivor")
@@ -37,6 +39,12 @@ class ChannelPlan:
 
     def survivors(self) -> int:
         return sum(len(v) for v in self.keep.values())
+
+    def flat_index(self) -> dict:
+        """(layer, channel) -> position in the flat channel order (layers
+        ascending, then channels) that survival counts index."""
+        pairs = ((l, c) for l in sorted(self.widths) for c in range(self.widths[l]))
+        return {pc: i for i, pc in enumerate(pairs)}
 
     def to_dict(self):
         return {
@@ -334,8 +342,7 @@ def structured_pipeline(net, make_trainer, train_epochs: int, finetune_epochs: i
     plan, info = prune_and_regenerate_channels(net, percent, r, scores)
 
     ledger = SurvivalLedger(plan.total_channels)
-    pairs = [(l, c) for l in sorted(plan.widths) for c in range(plan.widths[l])]
-    index_of = {pc: i for i, pc in enumerate(pairs)}
+    index_of = plan.flat_index()
     newly = np.array(sorted(index_of[pc] for pc in info.pruned), dtype=np.intp)
     regen = np.array(sorted(index_of[pc] for pc in info.regenerated), dtype=np.intp)
     ledger.on_iteration(1, newly, regen)

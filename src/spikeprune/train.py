@@ -139,13 +139,24 @@ def save_run_state(path, net: SpikingNetwork, meta_extra: dict | None = None,
     checkpoint.save(path, arrays, meta)
 
 
+def meta_entry(path, meta: dict, key: str, parse):
+    """parse(meta[key]); a missing or malformed entry (a lookup, type or value
+    error inside parse) becomes one ValueError naming the file and the key."""
+    if key not in meta:
+        raise ValueError(f"{path}: the checkpoint's meta has no {key!r} entry")
+    try:
+        return parse(meta[key])
+    except KeyError as exc:
+        raise ValueError(f"{path}: the meta's {key!r} entry has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed {key!r} entry in the meta: {exc}") from None
+
+
 def load_run_state(path):
     """Returns (net, arrays, meta); mask entries (and the velocity entries of
     older files) stay in arrays."""
     arrays, meta = checkpoint.load(path)
-    if "network" not in meta:
-        raise ValueError(f"{path}: not a run-state checkpoint (its meta has no 'network' entry)")
-    spec = NetworkSpec.from_dict(meta["network"])
+    spec = meta_entry(path, meta, "network", NetworkSpec.from_dict)
     net = SpikingNetwork(spec, np.random.default_rng(0))
     params, stats = net.parameters(), net.state_arrays()
     for name in list(arrays):

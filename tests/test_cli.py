@@ -1,7 +1,9 @@
 """Subcommand surface: artifacts, determinism, resume audit, error lines."""
 
 import json
+import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from conftest import save_v1
 from spikeprune import checkpoint
 from spikeprune.cli import main
+from spikeprune.network import vgg_mini
 
 TINY = """
 seed = 5
@@ -30,6 +33,7 @@ N_1 = 1
 N_2 = 2
 percent = 0.5
 """
+NET = vgg_mini().to_dict()
 
 
 @pytest.fixture
@@ -144,11 +148,22 @@ class TestSubcommands:
 
 
 class TestVerify:
+    PROPERTIES = {
+        "surrogate", "lif-dynamics", "stbp-gradients", "prefix-once", "sparsity-schedule",
+        "sparsity-exactness", "regeneration-topk", "r0-equals-gmp", "slim-mask-equivalence",
+        "arena-views", "flops-accounting", "criticality-partition", "survival-replay",
+        "checkpoint-roundtrip", "determinism",
+    }
+
     def test_fresh_build_passes_all_properties(self, capsys):
+        t0 = time.monotonic()
         assert main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 12
+        dt = time.monotonic() - t0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.startswith("PASS ") for line in lines), lines
+        names = [line.split(":")[0].removeprefix("PASS ") for line in lines]
+        assert sorted(names) == sorted(self.PROPERTIES)
+        assert dt < 15.0, f"verify took {dt:.1f}s"
 
 
 class TestDeterminism:
@@ -249,8 +264,71 @@ class TestErrors:
                                     "--out", str(tmp_path / "o")], capsys)
         assert "mask_history.ckpt" in err and "network" in err
 
+    @pytest.mark.parametrize("meta, key", [
+        ({"network": {}}, "input_shape"),
+        ({"network": {**NET, "layers": [{"kind": "flatten", "hn_channels": 2}]}}, "hn_channels"),
+        ({"network": {**NET, "lif": {"uau": 1.0}}}, "uau"),
+        ({"network": NET}, "config"),
+    ])
+    def test_malformed_run_state_meta(self, tmp_path, capsys, meta, key):
+        bad = tmp_path / "bad.ckpt"
+        checkpoint.save(bad, {}, meta)
+        err = self._one_error_line(["analyze", "--checkpoint", str(bad), "--metric", "variance",
+                                    "--out", str(tmp_path / "o")], capsys)
+        assert "bad.ckpt" in err and key in err
+
+    def test_bit_flip_in_every_header_byte(self, tmp_path, capsys):
+        """Flipping bit 0 of any byte of a run state's meta or entry headers
+        loads a changed but usable state or ends in one error: line. Flips in
+        the data bytes load other values silently: the format has no checksum."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 5\nchannels = 2\nclasses = 2\ntrain_samples = 8\n"
+                       "test_samples = 4\nbatch_size = 4\nepochs = 1\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+        blob = (tmp_path / "t" / "checkpoint.ckpt").read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", blob, 5)
+        at = 5 + 8 + meta_len + 8
+        offsets = list(range(at))                  # magic, meta and the entry count
+        for _ in range(struct.unpack_from("<Q", blob, at - 8)[0]):
+            start = at
+            (name_len,) = struct.unpack_from("<I", blob, at)
+            (ndim,) = struct.unpack_from("<I", blob, at + 4 + name_len)
+            at += 4 + name_len + 4 + 8 * ndim
+            n = math.prod(struct.unpack_from(f"<{ndim}Q", blob, at - 8 * ndim))
+            offsets += range(start, at + 1)        # name, dims and the dtype byte
+            at += 1 + (8 * n if blob[at:at + 1] == b"f" else -(-n // 8))
+        assert at == len(blob)
+        bad = tmp_path / "bad.ckpt"
+        for o in offsets:
+            flipped = bytearray(blob)
+            flipped[o] ^= 1
+            bad.write_bytes(flipped)
+            rc = main(["analyze", "--checkpoint", str(bad), "--metric", "variance",
+                       "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err.splitlines()
+            assert rc == 0 or (rc == 2 and len(err) == 1 and err[0].startswith("error:")), \
+                (o, rc, err)
+
+    @pytest.mark.parametrize("key, value", [("it0002.post_regen", None), ("iterations", None),
+                                            ("total", None),
+                                            ("it0002.post_regen", np.ones(3, dtype=bool))])
+    def test_survival_history_lacks_entry_or_key(self, tmp_path, capsys, key, value):
+        """A missing entry or meta key, or a mask of the wrong size (value)."""
+        masks = {f"it{i:04d}.{phase}": np.ones(4, dtype=bool)
+                 for i in (1, 2) for phase in ("post_prune", "post_regen")}
+        meta = {"iterations": 2, "total": 4}
+        target = meta if key in meta else masks
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        checkpoint.save(tmp_path / "mask_history.ckpt", masks, meta)
+        err = self._one_error_line(["analyze", "--checkpoint",
+                                    str(tmp_path / "checkpoint_final.ckpt"),
+                                    "--metric", "survival", "--out", str(tmp_path / "o")], capsys)
+        assert "mask_history.ckpt" in err and key in err
+
     def test_checkpoint_array_outside_network(self, tmp_path, capsys):
-        from spikeprune.network import vgg_mini
         odd = tmp_path / "odd.ckpt"
         checkpoint.save(odd, {"layers.3.weight": np.ones((2, 1, 3, 3))},
                         {"network": vgg_mini().to_dict()})

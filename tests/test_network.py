@@ -110,8 +110,7 @@ class TestPrefixOnce:
     def test_matches_t_copies_at_desk_size(self):
         """The layers before the first LIF run once; the verify property at the
         desk network width and a deeper fully connected stack."""
-        specs = (vgg_mini(channels=(12, 24), t_steps=5), linear_snn([16, 12, 8, 3], t_steps=5))
-        ok, detail = check_prefix_once(specs, batch=32)
+        ok, detail = check_prefix_once()
         assert ok, detail
 
     def test_prefix_runs_once(self, monkeypatch):
