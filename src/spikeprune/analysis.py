@@ -50,7 +50,9 @@ class SurvivalLedger:
                      regenerated: np.ndarray):
         self.provenance[newly_pruned] = False
         self.provenance[regenerated] = True
-        rescued = int(np.isin(regenerated, newly_pruned).sum())
+        was_pruned = np.zeros(self.total, dtype=bool)
+        was_pruned[newly_pruned] = True
+        rescued = int(np.count_nonzero(was_pruned[regenerated]))
         self.records.append(IterationRecord(
             iteration=iteration,
             pruned_this_iter=int(len(newly_pruned)),

@@ -151,6 +151,7 @@ class Conv2d(Layer):
         std = np.sqrt(2.0 / fan_in)
         self.weight = rng.normal(0.0, std, size=(out_channels, in_channels, kernel, kernel))
         self.dweight = np.zeros_like(self.weight)
+        self.input_grad = True      # False: backward fills dweight and returns None
         self._x = None
 
     def forward(self, xs, training):
@@ -166,8 +167,8 @@ class Conv2d(Layer):
         t, n = gys.shape[:2]
         gflat = gys.reshape((t * n,) + gys.shape[2:])
         gx, self.dweight[...] = ops.conv2d_grad(gflat, self._x, self.weight, self.stride,
-                                                self.padding)
-        return gx.reshape((t, n) + gx.shape[1:])
+                                                self.padding, self.input_grad)
+        return None if gx is None else gx.reshape((t, n) + gx.shape[1:])
 
 
 class BatchNorm2d(Layer):

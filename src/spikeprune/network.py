@@ -226,6 +226,8 @@ class SpikingNetwork:
                                len(self.layers))
         self._t_out = None          # time extent of the last forward's output
         self.features = None
+        if self.layers[0].kind == "conv":
+            self.layers[0].input_grad = False   # nothing reads the input image's gradient
         self._build_arenas()
 
     def _build_arenas(self):

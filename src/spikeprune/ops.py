@@ -98,8 +98,11 @@ def conv2d(x: np.ndarray, weight: np.ndarray, stride: int = 1, padding: int = 0)
 
 
 def conv2d_grad(upstream: np.ndarray, x: np.ndarray, weight: np.ndarray,
-                stride: int = 1, padding: int = 0):
-    """Gradients of conv2d: (dX, dW) for upstream [N, Cout, oh, ow]."""
+                stride: int = 1, padding: int = 0, input_grad: bool = True):
+    """Gradients of conv2d: (dX, dW) for upstream [N, Cout, oh, ow].
+
+    With input_grad False only dW is computed and dX is None.
+    """
     upstream = _as64(upstream)
     x = _as64(x)
     weight = _as64(weight)
@@ -114,6 +117,8 @@ def conv2d_grad(upstream: np.ndarray, x: np.ndarray, weight: np.ndarray,
     win = _windows(xp, kh, kw, stride, oh, ow)
     # dW: reduce over batch and output positions.
     dw = np.tensordot(upstream, win, axes=([0, 2, 3], [0, 2, 3]))
+    if not input_grad:
+        return None, dw
     # dX: one GEMM expands upstream onto input patches [kh, kw, Cin, oh, ow, N];
     # its (i, j) slabs are scattered in a fixed (i, j) order into a padded
     # buffer with the batch innermost, so each add runs over contiguous rows.

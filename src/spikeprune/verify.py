@@ -39,7 +39,14 @@ from .structured import (
     slim,
 )
 from .train import Trainer
-from .unstructured import SparsitySchedule, current_sparsity, prune_loop, regenerate
+from .unstructured import (
+    SparsitySchedule,
+    current_sparsity,
+    prune_global_magnitude,
+    prune_loop,
+    regenerate,
+    round_half_up,
+)
 
 
 def tiny_run(seed=0, channels=(2, 3), n_train=24, n_test=12, batch=8, epochs=6,
@@ -243,9 +250,20 @@ def check_sparsity_exactness():
                   f"(worst {worst:.2f} connections)")
 
 
+def _tied_weights(rng):
+    """Weights rounded to 0-2 decimals, so |w| ties are common, with a share
+    already masked (and zeroed) by earlier prune events."""
+    n = int(rng.integers(10, 201))
+    w = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+    mask = rng.random(n) >= rng.uniform(0.0, 0.6)
+    return w * mask, mask
+
+
 def check_regeneration_oracle():
     """Connection and channel regeneration pick the top k by (score, |w|,
-    index), as a brute-force sort does; one RNG stream feeds both."""
+    index), and global magnitude pruning cuts the first entries by (|w|,
+    index), as brute-force sorts do. One RNG stream feeds every instance;
+    the tied instances come last, so the earlier ones never change."""
     rng = np.random.default_rng(3)
     for trial in range(100):
         n = int(rng.integers(10, 201))
@@ -275,7 +293,60 @@ def check_regeneration_oracle():
                                        -abs(net.layers[lc[0]].gamma[lc[1]]), lc))[:info.k]
         if sorted(info.regenerated) != sorted(brute):
             return False, f"channel trial {trial}: top-k set mismatch"
-    return True, "100 connection + 40 channel instances match brute-force (score, |w|, index) sorts"
+    # Ties: connections into one channel share its score, |w| is rounded,
+    # and the pruned set holds earlier cuts (snapshot 0) and this event's.
+    for trial in range(100):
+        w, mask = _tied_weights(rng)
+        n = w.size
+        fan = int(rng.integers(1, 10))
+        scores = np.repeat(rng.uniform(0, 1, size=-(-n // fan)), fan)[:n]
+        mask &= rng.random(n) >= rng.uniform(0.2, 0.8)
+        snap = w.copy()
+        w *= mask
+        pruned = np.flatnonzero(~mask)
+        k = (0, pruned.size, int(rng.integers(0, pruned.size + 1)))[min(trial % 4, 2)]
+        chosen = regenerate(mask, w, scores, snap, k)
+        brute = sorted(pruned, key=lambda i: (-scores[i], -abs(snap[i]), i))[:k]
+        if sorted(chosen.tolist()) != sorted(int(i) for i in brute):
+            return False, f"tied connection trial {trial}: top-k set mismatch"
+    for trial in range(100):
+        w, mask = _tied_weights(rng)
+        n = w.size
+        current = 1.0 - int(mask.sum()) / n
+        # Every third target lies below the current sparsity, so the cut
+        # falls inside the already-masked group.
+        s_prime = float(rng.uniform(0.0, current) if trial % 3 == 0
+                        else rng.uniform(min(current, 0.95), 0.95))
+        cut = sorted(range(n), key=lambda i: (abs(w[i]) if mask[i] else -1.0, i))
+        cut = cut[:n - round_half_up((1.0 - s_prime) * n)]
+        expected = mask.copy()
+        expected[cut] = False
+        got_w, got_mask = w.copy(), mask.copy()
+        newly = prune_global_magnitude(got_w, got_mask, s_prime)
+        if (newly.tolist() != sorted(i for i in cut if mask[i])
+                or not np.array_equal(got_mask, expected)
+                or not np.array_equal(got_w, w * expected)):
+            return False, f"magnitude trial {trial}: pruned set mismatch"
+    # Ties across two BN layers: scores and gammas rounded to one decimal.
+    for trial in range(40):
+        widths = tuple(int(c) for c in rng.integers(4, 17, size=2))
+        net = SpikingNetwork(vgg_mini(input_shape=(1, 4, 4), channels=widths, classes=2),
+                             np.random.default_rng(trial))
+        bns = [i for i, l in enumerate(net.layers) if l.kind == "batchnorm"]
+        scores = {}
+        for bn, width in zip(bns, widths):
+            net.layers[bn].gamma[...] = np.round(rng.uniform(-1.0, 1.0, size=width), 1)
+            scores[bn] = np.round(rng.uniform(0, 1, size=width), 1)
+        plan, info = prune_and_regenerate_channels(
+            net, float(rng.uniform(0.2, 0.7)), float(rng.uniform(0.0, 0.5)), scores)
+        brute = sorted(info.pruned,
+                       key=lambda lc: (-scores[lc[0]][lc[1]],
+                                       -abs(net.layers[lc[0]].gamma[lc[1]]), lc))[:info.k]
+        if sorted(info.regenerated) != sorted(brute):
+            return False, f"tied channel trial {trial}: top-k set mismatch"
+    return True, ("100 connection + 40 channel + 100 tied connection + 40 tied channel "
+                  "instances match brute-force (score, |w|, index) sorts; 100 tied "
+                  "magnitude cuts match a (|w|, index) sort")
 
 
 def check_r0_equals_gmp():

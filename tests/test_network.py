@@ -144,6 +144,10 @@ class TestBackward:
         for g in net.grads().values():
             assert not g.any()
 
+    def test_only_the_first_conv_skips_its_input_gradient(self):
+        net = SpikingNetwork(vgg_mini(channels=(2, 3)), np.random.default_rng(0))
+        assert [l.input_grad for l in net.layers if l.kind == "conv"] == [False, True]
+
     def test_single_neuron_t2_hand_chain_rule(self):
         """Standard-mode STBP on one LIF neuron, expanded symbolically by hand."""
         spec = linear_snn([1, 1, 1], t_steps=2)

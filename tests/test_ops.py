@@ -158,6 +158,9 @@ class TestFiniteDifferences:
         gx, gw = ops.conv2d_grad(gy, x, w, stride, padding)
         assert rel_err(gx, central_diff(loss, x)) <= 1e-6
         assert rel_err(gw, central_diff(loss, w)) <= 1e-6
+        no_gx, gw_only = ops.conv2d_grad(gy, x, w, stride, padding, input_grad=False)
+        assert no_gx is None
+        np.testing.assert_array_equal(gw_only, gw)
 
     @pytest.mark.parametrize("window,stride", [(2, 2), (2, 1)])
     def test_avgpool_grads(self, window, stride):

@@ -15,6 +15,7 @@ from spikeprune.unstructured import (
     prune_loop,
     regenerate,
     round_half_up,
+    select_first,
     sparsity,
 )
 
@@ -71,6 +72,49 @@ def ones(w):
     return np.ones(w.size, dtype=bool)
 
 
+def first_by_sort(key, k, next_key=None):
+    """Reference for select_first: a full (key, next_key, position) sort."""
+    nk = np.zeros(key.size) if next_key is None else next_key
+    order = sorted(range(key.size), key=lambda i: (key[i], nk[i], i))
+    return np.isin(np.arange(key.size), order[:k])
+
+
+class TestSelectFirst:
+    def test_all_keys_equal(self):
+        key = np.full(7, 0.5)
+        np.testing.assert_array_equal(np.flatnonzero(select_first(key, 3)), [0, 1, 2])
+        next_key = np.array([3.0, 1.0, 2.0, 1.0, 0.0, 3.0, 2.0])
+        np.testing.assert_array_equal(np.flatnonzero(select_first(key, 3, next_key)),
+                                      [1, 3, 4])
+
+    def test_cut_at_end_of_masked_group(self):
+        key = np.array([-1.0, 0.3, -1.0, 0.0, -1.0, 0.3])
+        np.testing.assert_array_equal(np.flatnonzero(select_first(key, 3)), [0, 2, 4])
+
+    def test_boundary_tie_group_larger_than_need(self):
+        key = np.array([0.1, 0.5, 0.5, 0.5, 0.9, 0.5])
+        np.testing.assert_array_equal(np.flatnonzero(select_first(key, 3)), [0, 1, 2])
+        next_key = np.array([0.0, 3.0, 1.0, 2.0, 0.0, 1.0])
+        np.testing.assert_array_equal(np.flatnonzero(select_first(key, 3, next_key)),
+                                      [0, 2, 5])
+
+    def test_k_zero_and_k_all(self):
+        key = np.array([0.2, -1.0, 0.2, 0.7])
+        assert not select_first(key, 0).any()
+        assert select_first(key, key.size, -key).all()
+
+    def test_matches_full_sort_on_tied_keys(self):
+        rng = np.random.default_rng(4)
+        for trial in range(50):
+            n = int(rng.integers(1, 60))
+            key = rng.integers(0, 4, size=n).astype(float)
+            next_key = rng.integers(0, 3, size=n).astype(float)
+            k = int(rng.integers(0, n + 1))
+            np.testing.assert_array_equal(select_first(key, k, next_key),
+                                          first_by_sort(key, k, next_key))
+            np.testing.assert_array_equal(select_first(key, k), first_by_sort(key, k))
+
+
 class TestGlobalMagnitudePrune:
     def test_hand_example(self):
         w = np.array([0.5, -0.3, 0.1, -0.7])
@@ -92,24 +136,24 @@ class TestGlobalMagnitudePrune:
             prune_global_magnitude(w, ones(w), 0.999)
 
     def test_survivors_match_full_sort_oracle(self):
+        """newly_pruned and the mask equal a full (|w|, index) sort of a copy
+        taken before the call; |w| is rounded so the index tie-break decides."""
         rng = np.random.default_rng(0)
         for trial in range(20):
-            w = np.concatenate([rng.normal(size=40), rng.normal(size=(10, 6)).ravel()])
+            w = np.round(np.concatenate([rng.normal(size=40),
+                                         rng.normal(size=(10, 6)).ravel()]), 1)
             mask = ones(w)
             s = float(rng.uniform(0.1, 0.9))
-            prune_global_magnitude(w, mask, s)
-            flat_w = w.copy()
-            total = flat_w.size
+            before = w.copy()
+            newly = prune_global_magnitude(w, mask, s)
+            total = before.size
             keep = round_half_up((1 - s) * total)
-            order = sorted(range(total), key=lambda i: (abs(flat_w[i]), i))
-            # oracle: block out the smallest-|w| entries; but w was zeroed in
-            # place, so rank on the mask's own survivors instead
-            survivors = set(np.flatnonzero(mask))
-            assert len(survivors) == keep
-            oracle_pruned = set(order[:total - keep])
-            assert survivors.isdisjoint(oracle_pruned) or all(
-                flat_w[i] == 0.0 for i in survivors & oracle_pruned
-            )
+            cut = sorted(range(total), key=lambda i: (abs(before[i]), i))[:total - keep]
+            np.testing.assert_array_equal(newly, sorted(cut))
+            expected = ones(before)
+            expected[cut] = False
+            np.testing.assert_array_equal(mask, expected)
+            np.testing.assert_array_equal(w, before * expected)
 
     def test_already_masked_stay_masked(self):
         w = np.array([0.5, -0.3, 0.1, -0.7, 0.9, 0.2])
@@ -118,6 +162,15 @@ class TestGlobalMagnitudePrune:
         first = mask.copy()
         prune_global_magnitude(w, mask, 0.5)
         assert np.all(mask <= first)
+
+    def test_cut_at_or_inside_the_masked_group_prunes_nothing(self):
+        w = np.array([0.0, 0.4, 0.0, 0.2, 0.0, 0.2])
+        mask = w != 0.0
+        for s in (0.5, 0.2):
+            newly = prune_global_magnitude(w, mask, s)
+            assert newly.size == 0
+            np.testing.assert_array_equal(mask, [False, True, False, True, False, True])
+        np.testing.assert_array_equal(prune_global_magnitude(w, mask, 4 / 6), [3])
 
     def test_realized_sparsity_within_one_connection(self):
         rng = np.random.default_rng(1)
@@ -165,9 +218,11 @@ class TestRegenerate:
         np.testing.assert_array_equal(w, original)
 
     def test_matches_brute_force_triple_sort(self):
-        """Regenerated set equals sorting (score desc, |w| desc, idx asc)."""
+        """Regenerated set equals sorting (score desc, |w| desc, idx asc);
+        pairs of connections share a score, so the |w| tie-break decides."""
         for seed in range(15):
             w, mask, snap, scores = self._setup(seed=seed + 10)
+            scores = np.repeat(scores[::2], 2)
             pruned = np.flatnonzero(~mask)
             k = len(pruned) // 2
             chosen = regenerate(mask, w, scores, snap, k)
