@@ -1,4 +1,4 @@
-"""Criticality scores from recorded surrogate-derivative traces.
+"""Criticality scores from the surrogate derivative of recorded membrane traces.
 
 A unit's score is the time-mean of g'(h - v_threshold), spatially aggregated
 per channel for conv features (max by default, mean behind the flag), then
@@ -153,8 +153,5 @@ def network_connection_scores(net, finalized: dict) -> np.ndarray:
 
 def scores_to_rows(finalized: dict):
     """Flatten finalized scores into (layer, unit, score) rows for CSV export."""
-    rows = []
-    for key in sorted(finalized):
-        for unit, val in enumerate(finalized[key]):
-            rows.append((key, unit, float(val)))
-    return rows
+    return [(key, unit, float(val))
+            for key in sorted(finalized) for unit, val in enumerate(finalized[key])]

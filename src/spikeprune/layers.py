@@ -4,12 +4,15 @@ Layers consume and produce time-stacked activations of shape [T, N, ...]
 (T = 1 for the layers a network runs before its first LIF).
 Stateless layers fold the T axis into the batch; batch normalization computes
 its statistics jointly over batch, time, and space, which the folding gives
-for free. The LIF layer carries the membrane recurrence across the T axis.
+for free. The LIF layer carries the membrane recurrence across the T axis and
+records only the membrane h and the spikes s; the surrogate derivative g' is
+derived from h when backward or a criticality score first reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,36 +53,44 @@ class LIFParams:
 
 
 def lif_step(weighted_input: np.ndarray, prev_u: np.ndarray, params: LIFParams,
-             relaxed: bool = False):
+             h: np.ndarray, s: np.ndarray, relaxed: bool = False):
     """One membrane update: charge, fire, reset.
 
     h = u_prev + (x - u_prev)/tau
     s = 1 iff h >= v_threshold   (ties fire; relaxed mode emits g(h - v_th) instead)
     u = h*(1-s) + v_reset*s
-    Returns (h, s, u, gprime) with gprime = g'(h - v_threshold).
+    Writes h and s in place into the given arrays, shaped like x; returns u.
     """
     x = np.asarray(weighted_input, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise NumericError("lif_step received non-finite input")
     if x.shape != np.shape(prev_u):
         raise DimensionError(f"input shape {x.shape} != membrane shape {np.shape(prev_u)}")
-    h = prev_u + (x - prev_u) / params.tau
-    dist = h - params.v_threshold
+    np.subtract(x, prev_u, out=h)
+    h /= params.tau
+    h += prev_u
     if relaxed:
-        s = surrogate_g(dist)
+        s[...] = surrogate_g(h - params.v_threshold)
     else:
-        s = (dist >= 0.0).astype(np.float64)
-    u = h * (1.0 - s) + params.v_reset * s
-    return h, s, u, surrogate_gprime(dist)
+        np.greater_equal(h, params.v_threshold, out=s)
+    u = 1.0 - s
+    u *= h
+    u += params.v_reset * s
+    return u
 
 
 @dataclass
 class LIFState:
-    """Recorded per-timestep traces of one LIF layer, each stacked as [T, N, ...]."""
+    """The membrane h and spikes s of one LIF layer, each stacked as [T, N, ...];
+    gprime = g'(h - v_threshold) is derived on first read and kept."""
 
     h: np.ndarray
     s: np.ndarray
-    gprime: np.ndarray
+    v_threshold: float
+
+    @cached_property
+    def gprime(self) -> np.ndarray:
+        return surrogate_gprime(self.h - self.v_threshold)
 
 
 class Layer:
@@ -298,10 +309,10 @@ class LIF(Layer):
 
     def forward(self, xs, training):
         p = self.lif_params
-        st = LIFState(np.empty(xs.shape), np.empty(xs.shape), np.empty(xs.shape))
+        st = LIFState(np.empty(xs.shape), np.empty(xs.shape), p.v_threshold)
         u = np.full(xs.shape[1:], p.v_reset)
         for t in range(xs.shape[0]):
-            st.h[t], st.s[t], u, st.gprime[t] = lif_step(xs[t], u, p, relaxed=self.relaxed)
+            u = lif_step(xs[t], u, p, st.h[t], st.s[t], relaxed=self.relaxed)
         self.state = st
         return st.s
 

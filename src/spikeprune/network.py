@@ -51,11 +51,7 @@ class LayerSpec:
     out_features: int | None = None
 
     def to_dict(self):
-        d = {"kind": self.kind}
-        for k, v in self.__dict__.items():
-            if k != "kind" and v is not None:
-                d[k] = v
-        return d
+        return {k: v for k, v in self.__dict__.items() if v is not None}
 
     @staticmethod
     def from_dict(d):
@@ -153,9 +149,7 @@ def trace_shapes(spec: NetworkSpec) -> list:
                     f"layer {i}: linear expects {ls.in_features} features, got {shape}"
                 )
             shape = (ls.out_features,)
-        elif ls.kind == "lif":
-            pass
-        else:
+        elif ls.kind != "lif":
             raise DimensionError(f"layer {i}: unknown kind {ls.kind!r}")
         out.append(shape)
     return out

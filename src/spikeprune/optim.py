@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import ArgumentError, DimensionError
 
+LR_DROP_FACTOR = 0.1        # the step schedule's lr multiplier at each milestone
+
 
 @dataclass
 class TrainConfig:
@@ -18,7 +20,6 @@ class TrainConfig:
     epochs: int = 20
     lr_schedule: str = "cosine"          # "cosine" | "step"
     lr_drop_epochs: tuple = (80, 120)
-    lr_drop_factor: float = 0.1
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -36,7 +37,7 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     if cfg.lr_schedule == "cosine":
         return cfg.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / cfg.epochs))
     drops = sum(1 for d in cfg.lr_drop_epochs if epoch >= d)
-    return cfg.lr * cfg.lr_drop_factor ** drops
+    return cfg.lr * LR_DROP_FACTOR ** drops
 
 
 class SGD:

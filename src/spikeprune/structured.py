@@ -86,8 +86,6 @@ def rank_channels(gammas: dict) -> list:
 
 @dataclass
 class ChannelPruneInfo:
-    percent: float
-    percent_prime: float
     k: int
     pruned: list                # (layer, channel) removed before regeneration
     regenerated: list           # (layer, channel) brought back
@@ -136,8 +134,8 @@ def prune_and_regenerate_channels(net: SpikingNetwork, percent: float, r: float,
             keep[layer] = [best]
             force_kept.append((layer, best))
     plan = ChannelPlan(keep=keep, widths=widths)
-    info = ChannelPruneInfo(percent=percent, percent_prime=percent_prime, k=int(max(k, 0)),
-                            pruned=pruned, regenerated=regenerated, force_kept=force_kept)
+    info = ChannelPruneInfo(k=int(max(k, 0)), pruned=pruned, regenerated=regenerated,
+                            force_kept=force_kept)
     return plan, info
 
 
@@ -307,12 +305,8 @@ def criticality_over_dataset(net: SpikingNetwork, x: np.ndarray, batch_size: int
         net.forward(x[i:i + batch_size], training=False)
         table.accumulate(score_batch(net.lif_states(), aggregation))
     finalized = table.finalize()
-    scores = {}
-    for i, layer in enumerate(net.layers):
-        if layer.kind == "batchnorm":
-            lif = net.scoring_lif(i)
-            scores[i] = finalized[lif]
-    return scores
+    return {i: finalized[net.scoring_lif(i)]
+            for i, layer in enumerate(net.layers) if layer.kind == "batchnorm"}
 
 
 @dataclass

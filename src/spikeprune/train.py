@@ -125,9 +125,7 @@ def save_run_state(path, net: SpikingNetwork, meta_extra: dict | None = None,
                    mask: np.ndarray | None = None, rng: np.random.Generator | None = None):
     """Write parameters, running statistics and, given a bool prune mask over
     net.flat[:net.n_prunable], one bool `mask/<param>` entry per weight tensor."""
-    arrays = {}
-    arrays.update(net.parameters())
-    arrays.update(net.state_arrays())
+    arrays = {**net.parameters(), **net.state_arrays()}
     if mask is not None:
         for name, m in net.split(mask).items():
             arrays[f"mask/{name}"] = m
@@ -154,19 +152,24 @@ def meta_entry(path, meta: dict, key: str, parse):
 
 def load_run_state(path):
     """Returns (net, arrays, meta); mask entries (and the velocity entries of
-    older files) stay in arrays."""
+    older files) stay in arrays. A non-finite parameter or running statistic,
+    or a negative running variance, is a ValueError naming the file and array."""
     arrays, meta = checkpoint.load(path)
     spec = meta_entry(path, meta, "network", NetworkSpec.from_dict)
     net = SpikingNetwork(spec, np.random.default_rng(0))
     params, stats = net.parameters(), net.state_arrays()
-    for name in list(arrays):
+    for name, value in arrays.items():
         if name.startswith(("velocity/", "mask/")):
             continue
-        if name in stats:
-            net.set_state_array(name, arrays[name])
-        elif name in params:
-            net.set_parameter(name, arrays[name])
-        else:
+        if name not in stats and name not in params:
             raise ValueError(f"{path}: array {name!r} is not in the network its meta describes")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{path}: array {name!r} holds a non-finite value")
+        if name.endswith(".running_var") and (value < 0).any():
+            raise ValueError(f"{path}: array {name!r} holds a negative variance")
+        if name in stats:
+            net.set_state_array(name, value)
+        else:
+            net.set_parameter(name, value)
     return net, arrays, meta
 

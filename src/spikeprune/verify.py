@@ -28,7 +28,7 @@ from .analysis import (
 from .cli import main as cli_main
 from .criticality import BatchScores, CriticalityTable
 from .data import DatasetSpec, make_synthetic
-from .layers import LIFParams, lif_step, surrogate_g, surrogate_gprime
+from .layers import LIF, LIFParams, lif_step, surrogate_g, surrogate_gprime
 from .network import SpikingNetwork, linear_snn, vgg_mini
 from .optim import TrainConfig, loss_ce_l1
 from .structured import (
@@ -103,19 +103,24 @@ LIF_SCENARIOS = [
 
 
 def check_lif_dynamics():
+    """Each scenario step by step through lif_step (h, s, u), and whole through
+    LIF.forward as a [T, 1] input (h, s and the g' derived from h)."""
     for inputs, tau, vth, vreset, expected in LIF_SCENARIOS:
         params = LIFParams(tau, vth, vreset)
-        u = np.array(vreset)
-        for x, (eh, es, eu) in zip(inputs, expected):
-            h, s, u, gp = lif_step(np.array(x), u, params)
-            got = (float(h), float(s), float(u))
-            if got != (eh, es, eu):
-                return False, f"scenario {inputs}: got {got}, expected {(eh, es, eu)}"
+        layer = LIF(params)
+        layer.forward(np.array(inputs).reshape(-1, 1), training=True)
+        st, u = layer.state, np.array(vreset)
+        for t, (x, (eh, es, eu)) in enumerate(zip(inputs, expected)):
+            h, s = np.empty(()), np.empty(())
+            u = lif_step(np.array(x), u, params, h, s)
+            want = (eh, es, eu, eh, es, 1.0 / (1.0 + np.pi ** 2 * (eh - vth) ** 2))
+            got = tuple(float(v) for v in (h, s, u, st.h[t, 0], st.s[t, 0], st.gprime[t, 0]))
+            if got != want:
+                return False, f"scenario {inputs}, step {t}: got {got}, expected {want}"
             if es == 1.0 and float(u) != vreset:
                 return False, f"scenario {inputs}: a spike left u = {float(u)}, not v_reset"
-            if float(gp) != 1.0 / (1.0 + np.pi ** 2 * (float(h) - vth) ** 2):
-                return False, f"scenario {inputs}: g' = {float(gp)} at h = {float(h)}"
-    return True, f"{len(LIF_SCENARIOS)} hand-unrolled scenarios match exactly"
+    return True, (f"{len(LIF_SCENARIOS)} hand-unrolled scenarios match exactly, by lif_step "
+                  "and through the LIF layer")
 
 
 def check_stbp_gradients():

@@ -336,6 +336,22 @@ class TestErrors:
                                     "--out", str(tmp_path / "o")], capsys)
         assert "odd.ckpt" in err and "layers.3.weight" in err
 
+    @pytest.mark.parametrize("name, value", [("layers.5.weight", np.nan),
+                                             ("layers.0.weight", np.inf),
+                                             ("layers.1.running_var", -1.0)])
+    def test_checkpoint_value_out_of_range(self, tmp_path, capsys, name, value):
+        """A non-finite parameter or a negative running variance is refused at load."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 5\nchannels = 2\nclasses = 2\ntrain_samples = 8\n"
+                       "test_samples = 4\nbatch_size = 4\nepochs = 1\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+        arrays, meta = checkpoint.load(tmp_path / "t" / "checkpoint.ckpt")
+        arrays[name].flat[0] = value
+        checkpoint.save(tmp_path / "bad.ckpt", arrays, meta)
+        err = self._one_error_line(["analyze", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                                    "--metric", "variance", "--out", str(tmp_path / "o")], capsys)
+        assert "bad.ckpt" in err and repr(name) in err
+
     def _idx_run(self, tmp_path, images: bytes, labels: bytes):
         def idx(arr):
             return bytes([0, 0, 0x08, arr.ndim]) + struct.pack(f">{arr.ndim}I", *arr.shape) \

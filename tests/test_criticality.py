@@ -22,9 +22,12 @@ from spikeprune.network import SpikingNetwork, vgg_mini
 
 
 def state_from_gprime(gp):
+    """A state whose g' trace is gp: set in place of the value derived from h."""
     gp = np.asarray(gp, dtype=float)
     z = np.zeros_like(gp)
-    return LIFState(h=z, s=z, gprime=gp)
+    st = LIFState(h=z, s=z, v_threshold=1.0)
+    st.gprime = gp
+    return st
 
 
 class TestScoreBatch:

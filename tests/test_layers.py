@@ -44,34 +44,41 @@ class TestSurrogate:
         assert 0.0 < v <= 1.0
 
 
+def step(x, u, params, relaxed=False):
+    """lif_step on fresh slots; returns (h, s, u)."""
+    x = np.asarray(x, dtype=float)
+    h, s = np.empty_like(x), np.empty_like(x)
+    u = lif_step(x, u, params, h, s, relaxed=relaxed)
+    return h, s, u
+
+
 class TestLIFStep:
     """Hand evaluations of the charge/fire/reset recurrence."""
 
     def test_subthreshold(self):
-        h, s, u, gp = lif_step(np.array(1.2), np.array(0.0), LIFParams(TAU, 1.0, 0.0))
+        h, s, u = step(1.2, np.array(0.0), LIFParams(TAU, 1.0, 0.0))
         assert (h, s, u) == (0.9, 0.0, 0.9)
-        assert gp == 0.9101698376462755
+        assert surrogate_gprime(h - 1.0) == 0.9101698376462755
 
     def test_fire_and_reset(self):
-        h, s, u, gp = lif_step(np.array(2.0), np.array(0.0), LIFParams(TAU, 1.0, 0.0))
+        h, s, u = step(2.0, np.array(0.0), LIFParams(TAU, 1.0, 0.0))
         assert (h, s, u) == (1.5, 1.0, 0.0)
 
     def test_zero_case(self):
-        h, s, u, gp = lif_step(np.array(0.0), np.array(0.0), LIFParams(TAU, 1.0, 0.0))
+        h, s, u = step(0.0, np.array(0.0), LIFParams(TAU, 1.0, 0.0))
         assert (h, s, u) == (0.0, 0.0, 0.0)
 
     def test_threshold_tie_fires(self):
         # x = tau makes h land exactly on the threshold.
-        h, s, u, _ = lif_step(np.array(TAU), np.array(0.0), LIFParams(TAU, 1.0, 0.0))
+        h, s, u = step(TAU, np.array(0.0), LIFParams(TAU, 1.0, 0.0))
         assert h == 1.0 and s == 1.0 and u == 0.0
 
     def test_nonfinite_input(self):
         with pytest.raises(NumericError):
-            lif_step(np.array(np.nan), np.array(0.0), LIFParams())
+            step(np.nan, np.array(0.0), LIFParams())
 
     def test_relaxed_tie_emits_half(self):
-        _, s, _, _ = lif_step(np.array(TAU), np.array(0.0), LIFParams(TAU, 1.0, 0.0),
-                              relaxed=True)
+        _, s, _ = step(TAU, np.array(0.0), LIFParams(TAU, 1.0, 0.0), relaxed=True)
         assert s == 0.5
 
     def test_param_validation(self):
@@ -100,10 +107,10 @@ class TestLIFLayer:
         inputs = rng.normal(0, 2, size=16)
         layer, _ = self._run(inputs, params)
         st_ = layer.state
-        # The layer records no membrane trace: replay lif_step for the reset.
+        # The layer keeps no running-membrane trace: replay lif_step for the reset.
         u = np.full((1, 1), params.v_reset)
         for t, x in enumerate(inputs.reshape(-1, 1, 1)):
-            _, s, u, _ = lif_step(x, u, params)
+            _, s, u = step(x, u, params)
             assert np.array_equal(s, st_.s[t])
             assert np.all(u[s == 1.0] == params.v_reset)
         assert np.all(st_.s[st_.h >= params.v_threshold] == 1.0)

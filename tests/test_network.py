@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import save_v1, tiny_run
-from spikeprune import checkpoint
-from spikeprune.errors import DimensionError, StateError
+from spikeprune import checkpoint, layers
+from spikeprune.analysis import extract_features
+from spikeprune.errors import DimensionError, NumericError, StateError
 from spikeprune.layers import LIF, BatchNorm2d, Conv2d, LIFParams, lif_step, surrogate_gprime
 from spikeprune.network import (
     LayerSpec,
@@ -18,6 +19,7 @@ from spikeprune.network import (
     vgg_mini,
 )
 from spikeprune.optim import loss_ce_l1
+from spikeprune.unstructured import SparsitySchedule, prune_loop
 from spikeprune.verify import check_prefix_once
 
 TAU = 4.0 / 3.0
@@ -96,11 +98,12 @@ class TestForward:
         net.forward(rng.normal(size=(4, 1, 8, 8)), training=True)
         for i, st in net.lif_states().items():
             assert set(np.unique(st.s)) <= {0.0, 1.0}
-            # No membrane trace is recorded: replay lif_step for the reset.
+            # No running-membrane trace is recorded: replay lif_step for the reset.
             xs = inputs[id(net.layers[i])]
             u = np.zeros(xs.shape[1:])
             for t in range(xs.shape[0]):
-                _, s, u, _ = lif_step(xs[t], u, net.spec.lif)
+                s = np.empty(xs.shape[1:])
+                u = lif_step(xs[t], u, net.spec.lif, np.empty(xs.shape[1:]), s)
                 assert np.array_equal(s, st.s[t])
                 assert np.all(u[s == 1.0] == 0.0)
             np.testing.assert_array_equal(st.gprime, surrogate_gprime(st.h - 1.0))
@@ -128,6 +131,45 @@ class TestPrefixOnce:
             monkeypatch.setattr(cls, "forward", recording(cls.forward))
         net.forward(np.ones((2, 1, 8, 8)), training=True)
         assert seen == {0: (1, 2), 1: (1, 2), 2: (5, 2), 4: (5, 2), 5: (5, 2), 6: (5, 2)}
+
+
+class TestGprimeOnRead:
+    """A LIF layer records h and s; g' is derived from h only by its readers."""
+
+    @pytest.fixture
+    def gprime_calls(self, monkeypatch):
+        calls = []
+        real = layers.surrogate_gprime
+
+        def counting(x):
+            calls.append(x.shape)
+            return real(x)
+
+        monkeypatch.setattr(layers, "surrogate_gprime", counting)
+        return calls
+
+    def test_eval_loops_derive_no_gprime(self, gprime_calls):
+        net, trainer, data = tiny_run(seed=3)
+        trainer.evaluate()
+        assert not any("gprime" in vars(st) for st in net.lif_states().values())
+        extract_features(net, data.x_train)
+        assert not any("gprime" in vars(st) for st in net.lif_states().values())
+        assert gprime_calls == []
+
+    def test_prune_event_scores_the_train_steps_gprime(self, gprime_calls):
+        """Backward derives g' once per LIF layer; the event's scoring reuses it."""
+        net, trainer, _ = tiny_run(seed=4, n_train=8, batch=8, epochs=1)
+        sched = SparsitySchedule(s_f=0.5, delta_t=1, t_f=1, r=0.5)
+        res = prune_loop(net, trainer, sched, epochs=1)
+        assert len(res.events) == 1 and res.events[0].k > 0
+        assert len(gprime_calls) == len(net.lif_indices())
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_nan_input_raises(self, training):
+        xs = np.zeros((3, 2, 4))
+        xs[1, 0, 2] = np.nan
+        with pytest.raises(NumericError):
+            LIF(LIFParams()).forward(xs, training)
 
 
 class TestBackward:
