@@ -2,9 +2,11 @@
 
 A unit's score is the time-mean of g'(h - v_threshold), spatially aggregated
 per channel for conv features (max by default, mean behind the flag), then
-averaged over samples. Scores live in (0, 1]: they peak when the membrane
-potential habitually sits at the threshold and decay quadratically with the
-distance from it.
+averaged over samples. Conv traces are channels-last, [T, N, H, W, C], like
+every activation inside a network; per-channel scores index the output axis
+of the conv weights [Cout, Cin, kh, kw]. Scores live in (0, 1]: they peak
+when the membrane potential habitually sits at the threshold and decay
+quadratically with the distance from it.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ class BatchScores:
 def score_batch(states: dict, aggregation: str = "max") -> BatchScores:
     """Score one recorded forward pass.
 
-    states maps a LIF layer index to its LIFState. Conv-feature traces
-    [T, N, C, H, W] reduce to per-channel scores; flat traces [T, N, F]
-    score each neuron directly.
+    states maps a LIF layer index to its LIFState. Conv-feature traces,
+    channels-last [T, N, H, W, C], reduce over their spatial axes to
+    per-channel scores; flat traces [T, N, F] score each neuron directly.
     """
     if aggregation not in AGGREGATIONS:
         raise ArgumentError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
@@ -45,9 +47,9 @@ def score_batch(states: dict, aggregation: str = "max") -> BatchScores:
         per_sample = g.mean(axis=0)                      # time-mean, [N, ...]
         if per_sample.ndim == 4:
             if aggregation == "max":
-                per_sample = per_sample.max(axis=(2, 3))
+                per_sample = per_sample.max(axis=(1, 2))
             else:
-                per_sample = per_sample.mean(axis=(2, 3))
+                per_sample = per_sample.mean(axis=(1, 2))
         elif per_sample.ndim != 2:
             raise StateError(f"layer {key}: unexpected trace shape {g.shape}")
         n = per_sample.shape[0]

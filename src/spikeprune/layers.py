@@ -1,12 +1,15 @@
 """LIF dynamics, the arctan surrogate, and the layer zoo.
 
 Layers consume and produce time-stacked activations of shape [T, N, ...]
-(T = 1 for the layers a network runs before its first LIF).
+(T = 1 for the layers a network runs before its first LIF). Spatial
+activations are channels-last, [T, N, H, W, C]; conv weights stay
+[Cout, Cin, kh, kw], and Flatten emits features in (C, H, W) order.
 Stateless layers fold the T axis into the batch; batch normalization computes
-its statistics jointly over batch, time, and space, which the folding gives
-for free. The LIF layer carries the membrane recurrence across the T axis and
-records only the membrane h and the spikes s; the surrogate derivative g' is
-derived from h when backward or a criticality score first reads it.
+its statistics jointly over batch, time, and space on a 2-D [T*N*H*W, C]
+view, which the folding gives for free. The LIF layer carries the membrane
+recurrence across the T axis and records only the membrane h and the spikes
+s; the surrogate derivative g' is derived from h when backward or a
+criticality score first reads it.
 """
 
 from __future__ import annotations
@@ -27,9 +30,15 @@ def surrogate_g(x):
     return np.arctan(np.pi * x) / np.pi + 0.5
 
 
-def surrogate_gprime(x):
-    """Exact derivative of the surrogate: g'(x) = 1/(1 + pi^2 x^2)."""
-    return 1.0 / (1.0 + PI_SQ * np.square(x))
+def surrogate_gprime(x, out=None):
+    """Exact derivative of the surrogate: g'(x) = 1/(1 + pi^2 x^2).
+
+    With out given (it may be x itself), every step is written into it.
+    """
+    y = np.square(x, out=out)
+    y = np.multiply(y, PI_SQ, out=out)
+    y = np.add(y, 1.0, out=out)
+    return np.divide(1.0, y, out=out)
 
 
 @dataclass
@@ -90,7 +99,8 @@ class LIFState:
 
     @cached_property
     def gprime(self) -> np.ndarray:
-        return surrogate_gprime(self.h - self.v_threshold)
+        d = self.h - self.v_threshold
+        return surrogate_gprime(d, out=d)
 
 
 class Layer:
@@ -164,12 +174,14 @@ class Conv2d(Layer):
         self.dweight = np.zeros_like(self.weight)
         self.input_grad = True      # False: backward fills dweight and returns None
         self._x = None
+        self._patches = None        # the forward's patch matrix, kept in training only
 
     def forward(self, xs, training):
         t, n = xs.shape[:2]
         flat = xs.reshape((t * n,) + xs.shape[2:])
         self._x = flat
-        out = ops.conv2d(flat, self.weight, self.stride, self.padding)
+        out, patches = ops.conv2d(flat, self.weight, self.stride, self.padding)
+        self._patches = patches if training else None
         return out.reshape((t, n) + out.shape[1:])
 
     def backward(self, gys):
@@ -178,8 +190,15 @@ class Conv2d(Layer):
         t, n = gys.shape[:2]
         gflat = gys.reshape((t * n,) + gys.shape[2:])
         gx, self.dweight[...] = ops.conv2d_grad(gflat, self._x, self.weight, self.stride,
-                                                self.padding, self.input_grad)
+                                                self.padding, self.input_grad, self._patches)
+        self._patches = None
         return None if gx is None else gx.reshape((t, n) + gx.shape[1:])
+
+
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Per-channel sums of a [M, C] array, as one BLAS matrix-vector product
+    (numpy's axis-0 reduction over a few columns takes ~10x longer)."""
+    return np.ones(len(a)) @ a
 
 
 class BatchNorm2d(Layer):
@@ -209,43 +228,47 @@ class BatchNorm2d(Layer):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, xs, training):
-        t, n = xs.shape[:2]
-        x = xs.reshape((t * n,) + xs.shape[2:])
-        if x.shape[1] != self.channels:
-            raise DimensionError(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
-        axes = (0, 2, 3)
-        if training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mean = self.running_mean
-            var = self.running_var
+        if xs.shape[-1] != self.channels:
+            raise DimensionError(f"batchnorm expects {self.channels} channels, got {xs.shape[-1]}")
+        x = xs.reshape(-1, self.channels)
+        if not training:
+            # One affine map per channel. The cache holds x; backward, which
+            # only checks run in inference mode, normalizes it there.
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            scale = self.gamma * inv_std
+            self._cache = (x, inv_std, training)
+            y = x * scale
+            y += self.beta - self.running_mean * scale
+            return y.reshape(xs.shape)
+        mean = _channel_sum(x) / len(x)
+        xhat = x - mean
+        var = _channel_sum(np.square(xhat)) / len(x)
+        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
+        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[:, None, None]) * inv_std[:, None, None]
-        self._cache = (xhat, inv_std, training, x.shape)
-        y = self.gamma[:, None, None] * xhat + self.beta[:, None, None]
+        xhat *= inv_std
+        self._cache = (xhat, inv_std, training)
+        y = self.gamma * xhat
+        y += self.beta
         return y.reshape(xs.shape)
 
     def backward(self, gys):
         if self._cache is None:
             raise StateError("batchnorm backward before forward")
-        xhat, inv_std, training, flat_shape = self._cache
-        gy = gys.reshape(flat_shape)
-        axes = (0, 2, 3)
-        self.dgamma[...] = (gy * xhat).sum(axis=axes)
-        self.dbeta[...] = gy.sum(axis=axes)
-        gxhat = gy * self.gamma[:, None, None]
-        if training:
-            term = (
-                gxhat
-                - gxhat.mean(axis=axes)[:, None, None]
-                - xhat * (gxhat * xhat).mean(axis=axes)[:, None, None]
-            )
-            gx = inv_std[:, None, None] * term
-        else:
-            gx = gxhat * inv_std[:, None, None]
+        xhat, inv_std, training = self._cache
+        if not training:
+            xhat = (xhat - self.running_mean) * inv_std
+        gy = gys.reshape(xhat.shape)
+        self.dgamma[...] = _channel_sum(gy * xhat)
+        self.dbeta[...] = _channel_sum(gy)
+        scale = self.gamma * inv_std
+        if not training:
+            return (gy * scale).reshape(gys.shape)
+        # Through the batch mean and variance as well: their gradients are
+        # the per-channel sums just taken.
+        gx = gy - self.dbeta / len(gy)
+        gx -= xhat * (self.dgamma / len(gy))
+        gx *= scale
         return gx.reshape(gys.shape)
 
 
@@ -274,6 +297,9 @@ class AvgPool2d(Layer):
 
 
 class Flatten(Layer):
+    """[T, N, H, W, C] -> [T, N, C*H*W]: features in (C, H, W) order, the order
+    head weights, head criticality and checkpoints index them by."""
+
     kind = "flatten"
 
     def __init__(self):
@@ -281,12 +307,16 @@ class Flatten(Layer):
 
     def forward(self, xs, training):
         self._shape = xs.shape
-        t, n = xs.shape[:2]
-        return xs.reshape(t, n, -1)
+        if xs.ndim == 5:
+            xs = xs.transpose(0, 1, 4, 2, 3)
+        return xs.reshape(xs.shape[0], xs.shape[1], -1)
 
     def backward(self, gys):
         if self._shape is None:
             raise StateError("flatten backward before forward")
+        if len(self._shape) == 5:
+            t, n, h, w, c = self._shape
+            return gys.reshape(t, n, c, h, w).transpose(0, 1, 3, 4, 2)
         return gys.reshape(self._shape)
 
 
@@ -321,16 +351,17 @@ class LIF(Layer):
             raise StateError("lif backward before forward")
         p = self.lif_params
         st = self.state
-        t_steps = gys.shape[0]
         leak = 1.0 - 1.0 / p.tau
-        gx = np.empty_like(gys)
+        gx = np.empty(gys.shape)
         du = np.zeros(gys.shape[1:])
-        for t in range(t_steps - 1, -1, -1):
+        du_dh = np.empty(gys.shape[1:])
+        for t in range(gys.shape[0] - 1, -1, -1):
+            np.subtract(1.0, st.s[t], out=du_dh)
             if self.relaxed:
-                du_dh = (1.0 - st.s[t]) + (p.v_reset - st.h[t]) * st.gprime[t]
-            else:
-                du_dh = 1.0 - st.s[t]
-            dh = gys[t] * st.gprime[t] + du * du_dh
-            gx[t] = dh / p.tau
-            du = dh * leak
+                du_dh += (p.v_reset - st.h[t]) * st.gprime[t]
+            dh = np.multiply(gys[t], st.gprime[t], out=gx[t])
+            du_dh *= du
+            dh += du_dh                 # dh = g_s * g' + du * du/dh
+            np.multiply(dh, leak, out=du)
+            dh /= p.tau
         return gx

@@ -327,15 +327,28 @@ class SpikingNetwork:
             if isinstance(layer, LIF):
                 layer.relaxed = bool(on)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Run the net on x [N, C, H, W]; returns logits [N, classes]."""
-        x = np.array(x, dtype=np.float64)           # layers cache their input until backward
+    def layer_input(self, x: np.ndarray) -> np.ndarray:
+        """x [N, C, H, W] (or [N, F]) as a fresh float64 array in the layers'
+        channels-last layout [N, H, W, C]; the one place that converts it."""
+        x = np.asarray(x)
         if x.shape[1:] != tuple(self.spec.input_shape):
             raise DimensionError(
                 f"input shape {x.shape[1:]} != network input {tuple(self.spec.input_shape)}"
             )
+        if x.ndim == 4:
+            x = x.transpose(0, 2, 3, 1)
+        return np.array(x, dtype=np.float64, order="C")     # layers cache their input
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        """Run the net on x [N, C, H, W]; returns logits [N, classes].
+
+        The input is converted once by layer_input; every activation after it
+        is channels-last, [T, N, H, W, C], until Flatten emits (C, H, W)
+        ordered features. Conv weights, in the arena and in checkpoints, stay
+        [Cout, Cin, kh, kw].
+        """
         t = self.spec.t_steps
-        acts = x[None]
+        acts = self.layer_input(x)[None]
         for i, layer in enumerate(self.layers):
             if i == self._first_lif:
                 acts = np.broadcast_to(acts, (t,) + acts.shape[1:])

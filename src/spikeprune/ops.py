@@ -1,12 +1,14 @@
 """Dense float64 kernels: matmul, 2-D convolution, average pooling, and their gradients.
 
-Tensors are plain ``numpy.ndarray`` objects in float64, row-major. Convolution
+Tensors are plain ``numpy.ndarray`` objects in float64, row-major. Images are
+channels-last, [N, H, W, C]; conv weights stay [Cout, Cin, kh, kw]. Convolution
 uses the cross-correlation convention (no kernel flip) and is lowered to a
-patch matrix (im2col) followed by a single matrix product, so the accumulation
-order is the fixed reduction over the C*kh*kw axis. Pooling and the scatter
-half of the convolution backward iterate window offsets in a fixed (i, j)
-order. All kernels are pure functions: identical inputs give bit-identical
-outputs.
+patch matrix (im2col) [N*oh*ow, kh*kw*Cin] followed by a single matrix
+product, so the accumulation order is the fixed reduction over the kh*kw*Cin
+axis; the weight gradient is one more product with the same patch matrix.
+Pooling and the scatter half of the convolution backward iterate window
+offsets in a fixed (i, j) order. All kernels are pure functions: identical
+inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -61,28 +63,42 @@ def conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
     return oh, ow
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Strided view [N, C, oh, ow, kh, kw] over a padded input (read-only)."""
-    n, c = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
-    shape = (n, c, oh, ow, kh, kw)
-    strides = (sn, sc, stride * sh, stride * sw, sh, sw)
-    return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides, writeable=False)
-
-
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    return np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
 
 
-def conv2d(x: np.ndarray, weight: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Cross-correlate x [N, Cin, H, W] with weight [Cout, Cin, kh, kw]."""
+def _patches(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """Patch matrix [N*oh*ow, kh*kw*Cin] of x [N, H, W, Cin]: row (n, r, c) holds
+    the window under output position (r, c), with K in (kh, kw, Cin) order.
+
+    A window row (kw positions x Cin) is one contiguous run of the padded
+    input, so the matrix is filled by kh copies of such runs.
+    """
+    n, h, w, cin = x.shape
+    oh, ow = conv_out_hw(h, w, kh, kw, stride, padding)
+    xp = _pad(x, padding)
+    rows = xp.reshape(n, xp.shape[1], -1)               # [N, Hp, Wp*Cin]
+    runs = np.lib.stride_tricks.sliding_window_view(rows, kw * cin, axis=2)
+    runs = runs[:, :, :stride * cin * ow:stride * cin]  # [N, Hp, ow, kw*Cin]
+    patches = np.empty((n, oh, ow, kh, kw * cin))
+    for i in range(kh):
+        patches[:, :, :, i] = runs[:, i:i + stride * oh:stride]
+    return patches.reshape(n * oh * ow, kh * kw * cin)
+
+
+def conv2d(x: np.ndarray, weight: np.ndarray, stride: int = 1, padding: int = 0):
+    """Cross-correlate x [N, H, W, Cin] with weight [Cout, Cin, kh, kw].
+
+    Returns the output [N, oh, ow, Cout] and the patch matrix it was computed
+    from, which conv2d_grad accepts so that backward need not rebuild it.
+    """
     x = _as64(x)
     weight = _as64(weight)
     if x.ndim != 4 or weight.ndim != 4:
         raise DimensionError(f"conv2d expects 4-D input and weight, got {x.shape}, {weight.shape}")
-    n, cin, h, w = x.shape
+    n, h, w, cin = x.shape
     cout, cin_w, kh, kw = weight.shape
     if cin != cin_w:
         raise DimensionError(f"conv2d channel mismatch: input has {cin}, weight expects {cin_w}")
@@ -91,65 +107,70 @@ def conv2d(x: np.ndarray, weight: np.ndarray, stride: int = 1, padding: int = 0)
             f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
     oh, ow = conv_out_hw(h, w, kh, kw, stride, padding)
-    win = _windows(_pad(x, padding), kh, kw, stride, oh, ow)
-    # [N, C, oh, ow, kh, kw] . [Cout, C, kh, kw] -> [N, oh, ow, Cout]
-    out = np.tensordot(win, weight, axes=([1, 4, 5], [1, 2, 3]))
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    patches = _patches(x, kh, kw, stride, padding)
+    out = patches @ weight.transpose(2, 3, 1, 0).reshape(-1, cout)
+    return out.reshape(n, oh, ow, cout), patches
 
 
 def conv2d_grad(upstream: np.ndarray, x: np.ndarray, weight: np.ndarray,
-                stride: int = 1, padding: int = 0, input_grad: bool = True):
-    """Gradients of conv2d: (dX, dW) for upstream [N, Cout, oh, ow].
+                stride: int = 1, padding: int = 0, input_grad: bool = True,
+                patches: np.ndarray | None = None):
+    """Gradients of conv2d: (dX, dW) for upstream [N, oh, ow, Cout].
 
-    With input_grad False only dW is computed and dX is None.
+    patches is the patch matrix conv2d returned for x; when None it is
+    rebuilt from x. With input_grad False only dW is computed and dX is None.
     """
     upstream = _as64(upstream)
-    x = _as64(x)
+    x = np.asarray(x)
     weight = _as64(weight)
-    n, cin, h, w = x.shape
+    n, h, w, cin = x.shape
     cout, _, kh, kw = weight.shape
     oh, ow = conv_out_hw(h, w, kh, kw, stride, padding)
-    if upstream.shape != (n, cout, oh, ow):
+    if upstream.shape != (n, oh, ow, cout):
         raise DimensionError(
-            f"upstream shape {upstream.shape} does not match conv output ({n}, {cout}, {oh}, {ow})"
+            f"upstream shape {upstream.shape} does not match conv output ({n}, {oh}, {ow}, {cout})"
         )
-    xp = _pad(x, padding)
-    win = _windows(xp, kh, kw, stride, oh, ow)
-    # dW: reduce over batch and output positions.
-    dw = np.tensordot(upstream, win, axes=([0, 2, 3], [0, 2, 3]))
+    if patches is None:
+        patches = _patches(_as64(x), kh, kw, stride, padding)
+    g = upstream.reshape(-1, cout)
+    # dW: one GEMM reduces over batch and output positions.
+    dw = (np.ascontiguousarray(g.T) @ patches).reshape(cout, kh, kw, cin)
+    dw = np.ascontiguousarray(dw.transpose(0, 3, 1, 2))
     if not input_grad:
         return None, dw
     # dX: one GEMM expands upstream onto input patches [kh, kw, Cin, oh, ow, N];
     # its (i, j) slabs are scattered in a fixed (i, j) order into a padded
-    # buffer with the batch innermost, so each add runs over contiguous rows.
+    # buffer with the batch innermost, so each add runs over contiguous rows
+    # (twice as fast as channels-last rows of Cin).
     dpatch = (weight.transpose(2, 3, 1, 0).reshape(-1, cout)
-              @ upstream.transpose(1, 2, 3, 0).reshape(cout, -1)
+              @ upstream.transpose(3, 1, 2, 0).reshape(cout, -1)
               ).reshape(kh, kw, cin, oh, ow, n)
-    dxp = np.zeros((cin,) + xp.shape[2:] + (n,))
+    dxp = np.zeros((cin, h + 2 * padding, w + 2 * padding, n))
     for i in range(kh):
         for j in range(kw):
             dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dpatch[i, j]
-    dx = dxp[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2)
+    dx = dxp[:, padding:padding + h, padding:padding + w].transpose(3, 1, 2, 0)
     return np.ascontiguousarray(dx), dw
 
 
 def avgpool2d(x: np.ndarray, window: int, stride: int | None = None) -> np.ndarray:
-    """Mean over each window x window patch of x [N, C, H, W]."""
+    """Mean over each window x window patch of x [N, H, W, C]."""
     x = _as64(x)
     if x.ndim != 4:
         raise DimensionError(f"avgpool2d expects 4-D input, got {x.shape}")
     if window <= 0:
         raise DimensionError(f"zero-sized pooling window: {window}")
     stride = window if stride is None else stride
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     if window > h or window > w:
         raise DimensionError(f"pool window {window} larger than input {h}x{w}")
     oh, ow = conv_out_hw(h, w, window, window, stride, 0)
-    out = np.zeros((n, c, oh, ow))
+    out = np.zeros((n, oh, ow, c))
     for i in range(window):
         for j in range(window):
-            out += x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return out / (window * window)
+            out += x[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    out /= window * window
+    return out
 
 
 def avgpool2d_grad(upstream: np.ndarray, x_shape: tuple, window: int,
@@ -157,15 +178,15 @@ def avgpool2d_grad(upstream: np.ndarray, x_shape: tuple, window: int,
     """Backward of avgpool2d: distribute each output gradient uniformly over its window."""
     upstream = _as64(upstream)
     stride = window if stride is None else stride
-    n, c, h, w = x_shape
+    n, h, w, c = x_shape
     oh, ow = conv_out_hw(h, w, window, window, stride, 0)
-    if upstream.shape != (n, c, oh, ow):
+    if upstream.shape != (n, oh, ow, c):
         raise DimensionError(
-            f"upstream shape {upstream.shape} does not match pool output ({n}, {c}, {oh}, {ow})"
+            f"upstream shape {upstream.shape} does not match pool output ({n}, {oh}, {ow}, {c})"
         )
     share = upstream / (window * window)
     dx = np.zeros(x_shape)
     for i in range(window):
         for j in range(window):
-            dx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += share
+            dx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += share
     return dx

@@ -173,7 +173,7 @@ def _randomize_bn(layer, rng):
 def _t_copies_step(net, x, dlogits, training):
     """Reference step: every layer runs on T explicit copies of the input."""
     t = net.spec.t_steps
-    acts = np.repeat(x[None], t, axis=0)
+    acts = np.repeat(net.layer_input(x)[None], t, axis=0)
     for layer in net.layers:
         acts = layer.forward(acts, training)
     g = np.repeat(dlogits[None] / t, t, axis=0)

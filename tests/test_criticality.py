@@ -30,6 +30,11 @@ def state_from_gprime(gp):
     return st
 
 
+def channels_last(gp):
+    """A conv trace written as [T, N, C, H, W], in the layers' [T, N, H, W, C] layout."""
+    return np.moveaxis(gp, 2, -1)
+
+
 class TestScoreBatch:
     def test_time_mean_linear(self):
         # one neuron, g' = {1.0, 0.5} over T=2 -> 0.75
@@ -43,14 +48,14 @@ class TestScoreBatch:
         gp = np.zeros((2, 1, 1, 1, 2))
         gp[:, 0, 0, 0, 0] = [1.0, 0.5]   # time-mean 0.75
         gp[:, 0, 0, 0, 1] = [0.2, 0.2]   # time-mean 0.20
-        out_max = score_batch({0: state_from_gprime(gp)}, "max")
-        out_mean = score_batch({0: state_from_gprime(gp)}, "mean")
+        out_max = score_batch({0: state_from_gprime(channels_last(gp))}, "max")
+        out_mean = score_batch({0: state_from_gprime(channels_last(gp))}, "mean")
         assert out_max.scores[0][0] == 0.75
         assert out_mean.scores[0][0] == pytest.approx((0.75 + 0.2) / 2)
 
     def test_all_at_threshold_scores_one(self):
         gp = np.ones((3, 4, 2, 2, 2))
-        out = score_batch({0: state_from_gprime(gp)}, "max")
+        out = score_batch({0: state_from_gprime(channels_last(gp))}, "max")
         np.testing.assert_array_equal(out.scores[0], np.ones(2))
 
     def test_empty_states(self):
@@ -62,8 +67,8 @@ class TestScoreBatch:
     def test_max_at_least_mean(self, n, c):
         rng = np.random.default_rng(n * 31 + c)
         gp = rng.uniform(0.001, 1.0, size=(3, n, c, 2, 3))
-        hi = score_batch({0: state_from_gprime(gp)}, "max").scores[0]
-        lo = score_batch({0: state_from_gprime(gp)}, "mean").scores[0]
+        hi = score_batch({0: state_from_gprime(channels_last(gp))}, "max").scores[0]
+        lo = score_batch({0: state_from_gprime(channels_last(gp))}, "mean").scores[0]
         assert np.all(hi >= lo - 1e-15)
 
     def test_far_from_threshold_bound(self):

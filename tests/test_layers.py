@@ -1,4 +1,5 @@
-"""Surrogate function, LIF membrane dynamics, and batch-norm behavior."""
+"""Surrogate function, LIF membrane dynamics, batch-norm behavior, and the
+conv layer's patch-matrix lifetime."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from spikeprune.errors import NumericError
 from spikeprune.layers import (
     LIF,
     BatchNorm2d,
+    Conv2d,
     LIFParams,
     lif_step,
     surrogate_g,
@@ -133,6 +135,11 @@ class TestLIFLayer:
         assert relaxed[0, 0, 0] == 0.5
 
 
+def bn_forward(bn, x, training):
+    """BatchNorm2d on a [T, N, C, H, W] input, through the channels-last layout."""
+    return np.moveaxis(bn.forward(np.moveaxis(x, 2, -1), training), -1, 2)
+
+
 class TestBatchNorm:
     def test_identity_on_normalized_input(self):
         rng = np.random.default_rng(3)
@@ -140,7 +147,7 @@ class TestBatchNorm:
         x = rng.normal(size=(1, 6, 2, 5, 5))
         x -= x.mean(axis=(0, 1, 3, 4), keepdims=True)
         x /= x.std(axis=(0, 1, 3, 4), keepdims=True)
-        out = bn.forward(x, training=True)
+        out = bn_forward(bn, x, training=True)
         np.testing.assert_allclose(out, x, atol=1e-6)
 
     def test_gamma_zero_kills_channel(self):
@@ -148,7 +155,7 @@ class TestBatchNorm:
         bn = BatchNorm2d(3)
         bn.gamma[1] = 0.0
         bn.beta[1] = 0.0
-        out = bn.forward(rng.normal(size=(2, 4, 3, 2, 2)), training=True)
+        out = bn_forward(bn, rng.normal(size=(2, 4, 3, 2, 2)), training=True)
         assert not out[:, :, 1].any()
 
     def test_constant_input_yields_beta(self):
@@ -156,7 +163,7 @@ class TestBatchNorm:
         bn.beta = np.array([0.3, -0.7])
         x = np.ones((1, 2, 2, 3, 3))
         x[:, :, 1] = 5.0
-        out = bn.forward(x, training=True)
+        out = bn_forward(bn, x, training=True)
         np.testing.assert_allclose(out[:, :, 0], 0.3, atol=1e-12)
         np.testing.assert_allclose(out[:, :, 1], -0.7, atol=1e-12)
 
@@ -164,5 +171,25 @@ class TestBatchNorm:
         bn = BatchNorm2d(1, eps=0.0)
         bn.running_mean = np.array([2.0])
         bn.running_var = np.array([4.0])
-        out = bn.forward(np.full((1, 1, 1, 1, 1), 6.0), training=False)
+        out = bn_forward(bn, np.full((1, 1, 1, 1, 1), 6.0), training=False)
         assert out.item() == pytest.approx((6.0 - 2.0) / 2.0)
+
+
+class TestConv2dPatches:
+    @staticmethod
+    def patch_matrices(conv):
+        """2-D arrays the layer holds: its weight is 4-D, a patch matrix 2-D."""
+        return [a for a in vars(conv).values() if isinstance(a, np.ndarray) and a.ndim == 2]
+
+    def test_patch_matrix_lives_from_train_forward_to_backward(self):
+        rng = np.random.default_rng(5)
+        conv = Conv2d(2, 3, 3, 1, 1, rng)
+        xs = rng.normal(size=(2, 4, 5, 6, 2))
+        out = conv.forward(xs, training=False)
+        assert self.patch_matrices(conv) == []
+        gx_eval = conv.backward(np.ones_like(out))
+        conv.forward(xs, training=True)
+        assert [p.shape for p in self.patch_matrices(conv)] == [(2 * 4 * 5 * 6, 3 * 3 * 2)]
+        gx_train = conv.backward(np.ones_like(out))
+        assert self.patch_matrices(conv) == []
+        np.testing.assert_array_equal(gx_train, gx_eval)

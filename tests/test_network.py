@@ -15,6 +15,7 @@ from spikeprune.network import (
     NetworkSpec,
     SpikingNetwork,
     linear_snn,
+    trace_shapes,
     validate_spec,
     vgg_mini,
 )
@@ -133,6 +134,25 @@ class TestPrefixOnce:
         assert seen == {0: (1, 2), 1: (1, 2), 2: (5, 2), 4: (5, 2), 5: (5, 2), 6: (5, 2)}
 
 
+class TestFlattenOrder:
+    def test_silenced_channel_zeroes_its_head_input_block(self):
+        """Head inputs are in (C, H, W) order: channel c of the last BN owns
+        columns [c*h*w, (c+1)*h*w) of the features the head reads."""
+        spec = vgg_mini(channels=(2, 3))
+        net = SpikingNetwork(spec, np.random.default_rng(6))
+        bn = net.layers[5]
+        _, h, w = trace_shapes(spec)[7]
+        x = np.random.default_rng(7).normal(size=(4, 1, 8, 8))
+        for c in range(bn.channels):
+            bn.gamma[...] = 0.0
+            bn.beta[...] = 100.0        # every other channel fires at every step
+            bn.beta[c] = -100.0         # channel c never fires
+            net.forward(x, training=False)
+            expected = np.ones((4, bn.channels * h * w))
+            expected[:, c * h * w:(c + 1) * h * w] = 0.0
+            np.testing.assert_array_equal(net.features, expected)
+
+
 class TestGprimeOnRead:
     """A LIF layer records h and s; g' is derived from h only by its readers."""
 
@@ -141,9 +161,9 @@ class TestGprimeOnRead:
         calls = []
         real = layers.surrogate_gprime
 
-        def counting(x):
+        def counting(x, out=None):
             calls.append(x.shape)
-            return real(x)
+            return real(x, out=out)
 
         monkeypatch.setattr(layers, "surrogate_gprime", counting)
         return calls
