@@ -116,7 +116,7 @@ def extract_features(net, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
     chunks = []
     for i in range(0, x.shape[0], batch_size):
         net.forward(x[i:i + batch_size], training=False)
-        chunks.append(net.features.copy())
+        chunks.append(net.features)
     return np.concatenate(chunks)
 
 

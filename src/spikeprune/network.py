@@ -34,6 +34,10 @@ from .layers import (
 )
 
 WEIGHTED_KINDS = ("conv", "linear")
+# An inference forward runs the whole layer stack on one tile of samples before
+# starting the next, so that a tile's transients stay near cache size: its
+# biggest activation gets about half of a 2 MiB per-core L2.
+TILE_BYTES = 1 << 20
 # Arena position of each parameter name: weights, then biases, then BN affine.
 _ARENA_RANK = {"weight": 0, "bias": 1, "gamma": 2, "beta": 2}
 
@@ -155,6 +159,13 @@ def trace_shapes(spec: NetworkSpec) -> list:
     return out
 
 
+def inference_tile(spec: NetworkSpec) -> int:
+    """Samples per inference tile: the largest power of two whose biggest
+    [T, tile, ...] float64 activation fits TILE_BYTES (at least 1)."""
+    per_sample = 8 * spec.t_steps * max(math.prod(s) for s in trace_shapes(spec))
+    return 1 << (max(TILE_BYTES // per_sample, 1).bit_length() - 1)
+
+
 def validate_spec(spec: NetworkSpec):
     """Shape composition plus the fire-placement rule.
 
@@ -218,7 +229,9 @@ class SpikingNetwork:
         # Where the once-run prefix output is broadcast over T (module docstring).
         self._first_lif = next((i for i, l in enumerate(self.layers) if l.kind == "lif"),
                                len(self.layers))
+        self.tile = inference_tile(spec)
         self._t_out = None          # time extent of the last forward's output
+        self._tiles = 0             # tiles the last forward ran
         self.features = None
         if self.layers[0].kind == "conv":
             self.layers[0].input_grad = False   # nothing reads the input image's gradient
@@ -346,23 +359,44 @@ class SpikingNetwork:
         is channels-last, [T, N, H, W, C], until Flatten emits (C, H, W)
         ordered features. Conv weights, in the arena and in checkpoints, stay
         [Cout, Cin, kh, kw].
+
+        Inference runs the whole layer stack on `tile` samples before starting
+        the next tile; a training forward is one tile, since batch-norm
+        statistics couple the batch. The logits, `features` and every LIF
+        state cover the full batch; the other layers' caches hold the last
+        tile only, so backward refuses a forward of more than one tile.
         """
         t = self.spec.t_steps
-        acts = self.layer_input(x)[None]
-        for i, layer in enumerate(self.layers):
-            if i == self._first_lif:
-                acts = np.broadcast_to(acts, (t,) + acts.shape[1:])
-            if i == self._head_index:
-                self.features = acts.mean(axis=0)
-            acts = layer.forward(acts, training)
+        x = self.layer_input(x)
+        n = len(x)
+        step = n if training else self.tile
+        head = self.layers[self._head_index]
+        self.features = np.empty((n, head.in_features))
+        logits = np.empty((n, head.out_features))
+        for lo in range(0, n, step):
+            acts = x[lo:lo + step][None]
+            for i, layer in enumerate(self.layers):
+                if i == self._first_lif:
+                    acts = np.broadcast_to(acts, (t,) + acts.shape[1:])
+                if i == self._head_index:
+                    np.mean(acts, axis=0, out=self.features[lo:lo + step])
+                if isinstance(layer, LIF):
+                    acts = layer.forward(acts, training, batch=n, at=lo)
+                else:
+                    acts = layer.forward(acts, training)
+            np.mean(acts, axis=0, out=logits[lo:lo + step])
         self._t_out = acts.shape[0]
-        return acts.mean(axis=0)
+        self._tiles = -(-n // step)
+        return logits
 
     def backward(self, dlogits: np.ndarray):
         """Propagate loss gradient through time and layers; fills layer grads."""
         t = self._t_out
         if t is None:
             raise StateError("backward before forward")
+        if self._tiles > 1:
+            raise StateError(f"backward after an inference forward of {self._tiles} tiles: "
+                             f"the layer caches hold only the last tile")
         g = np.broadcast_to(dlogits / t, (t,) + dlogits.shape)
         for i in range(len(self.layers) - 1, -1, -1):
             g = self.layers[i].backward(g)

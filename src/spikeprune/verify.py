@@ -29,7 +29,7 @@ from .cli import main as cli_main
 from .criticality import BatchScores, CriticalityTable
 from .data import DatasetSpec, make_synthetic
 from .layers import LIF, LIFParams, lif_step, surrogate_g, surrogate_gprime
-from .network import SpikingNetwork, linear_snn, vgg_mini
+from .network import SpikingNetwork, inference_tile, linear_snn, vgg_mini
 from .optim import TrainConfig, loss_ce_l1
 from .structured import (
     ChannelPlan,
@@ -171,15 +171,20 @@ def _randomize_bn(layer, rng):
 
 
 def _t_copies_step(net, x, dlogits, training):
-    """Reference step: every layer runs on T explicit copies of the input."""
+    """Reference step: every layer runs on T explicit copies of the whole
+    batch. Returns the logits and the features the head reads (the head is
+    the last layer); backward runs when dlogits is given."""
     t = net.spec.t_steps
     acts = np.repeat(net.layer_input(x)[None], t, axis=0)
-    for layer in net.layers:
+    for layer in net.layers[:-1]:
         acts = layer.forward(acts, training)
-    g = np.repeat(dlogits[None] / t, t, axis=0)
-    for layer in reversed(net.layers):
-        g = layer.backward(g)
-    return acts.mean(axis=0)
+    features = acts.mean(axis=0)
+    acts = net.layers[-1].forward(acts, training)
+    if dlogits is not None:
+        g = np.repeat(dlogits[None] / t, t, axis=0)
+        for layer in reversed(net.layers):
+            g = layer.backward(g)
+    return acts.mean(axis=0), features
 
 
 def _rel(a, b):
@@ -188,14 +193,17 @@ def _rel(a, b):
 
 def check_prefix_once():
     """SpikingNetwork runs the layers before the first LIF once and broadcasts
-    over T; it must match T explicit copies in logits, spike and g' traces,
-    every gradient and the BN running statistics, in training and eval mode.
-    Checked on the desk network width and a deeper fully connected stack."""
+    over T; it must match T explicit copies in logits, features, the h, s and
+    g' traces, every gradient and the BN running statistics, in training and
+    eval mode at batch 32. An eval batch of two full inference tiles plus a
+    ragged tail checks the tiled forward the same way, without backward,
+    which refuses a forward of more than one tile. Checked on the desk
+    network width and a deeper fully connected stack."""
     specs = (vgg_mini(channels=(12, 24), t_steps=5), linear_snn([16, 12, 8, 3], t_steps=5))
-    batch = 32
     worst = 0.0
     for k, spec in enumerate(specs):
-        for training in (True, False):
+        tile = inference_tile(spec)
+        for training, batch in ((True, 32), (False, 32), (False, 2 * tile + tile // 2 + 1)):
             rng = np.random.default_rng(10 + k)
             net = SpikingNetwork(spec, rng)
             for layer in net.layers:
@@ -204,18 +212,25 @@ def check_prefix_once():
             ref = net.clone()
             x = 2.0 * rng.normal(size=(batch,) + tuple(spec.input_shape))
             dlogits = rng.normal(size=(batch, spec.layers[-1].out_features))
-            pairs = [(net.forward(x, training), _t_copies_step(ref, x, dlogits, training))]
-            net.backward(dlogits)
+            one_tile = training or batch <= tile
+            logits = net.forward(x, training)
+            ref_logits, ref_features = _t_copies_step(ref, x, dlogits if one_tile else None,
+                                                      training)
+            pairs = [(logits, ref_logits), (net.features, ref_features)]
+            if one_tile:
+                net.backward(dlogits)
+                pairs.append((net.grad, ref.grad))
             for i, st in net.lif_states().items():
-                pairs += [(st.s, ref.layers[i].state.s), (st.gprime, ref.layers[i].state.gprime)]
-            pairs.append((net.grad, ref.grad))
+                r = ref.layers[i].state
+                pairs += [(st.h, r.h), (st.s, r.s), (st.gprime, r.gprime)]
             ref_stats = ref.state_arrays()
             pairs += [(a, ref_stats[name]) for name, a in net.state_arrays().items()]
             err = max(_rel(a, b) for a, b in pairs)
             if err > 1e-12:
-                return False, f"spec {k}, training={training}: rel diff {err:.2e}"
+                return False, f"spec {k}, training={training}, batch {batch}: rel diff {err:.2e}"
             worst = max(worst, err)
-    return True, f"{len(specs)} nets x train/eval match T copies, worst rel diff {worst:.1e}"
+    return True, (f"{len(specs)} nets x train/eval at batch 32 and eval over 2 inference "
+                  f"tiles plus a ragged tail match T copies, worst rel diff {worst:.1e}")
 
 
 def check_schedule():

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import save_v1
+import spikeprune
 from spikeprune import checkpoint
 from spikeprune.cli import main
 from spikeprune.network import vgg_mini
@@ -164,6 +169,15 @@ class TestVerify:
         names = [line.split(":")[0].removeprefix("PASS ") for line in lines]
         assert sorted(names) == sorted(self.PROPERTIES)
         assert dt < 15.0, f"verify took {dt:.1f}s"
+
+    def test_runs_as_a_module(self):
+        """`python -m spikeprune` reaches the same entry point as the script."""
+        src = str(Path(spikeprune.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "spikeprune", "verify", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: spikeprune verify")
 
 
 class TestDeterminism:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import save_v1, tiny_run
-from spikeprune import checkpoint, layers
+from spikeprune import checkpoint, layers, ops
 from spikeprune.analysis import extract_features
 from spikeprune.errors import DimensionError, NumericError, StateError
 from spikeprune.layers import LIF, BatchNorm2d, Conv2d, LIFParams, lif_step, surrogate_gprime
@@ -14,6 +14,7 @@ from spikeprune.network import (
     LayerSpec,
     NetworkSpec,
     SpikingNetwork,
+    inference_tile,
     linear_snn,
     trace_shapes,
     validate_spec,
@@ -21,7 +22,7 @@ from spikeprune.network import (
 )
 from spikeprune.optim import loss_ce_l1
 from spikeprune.unstructured import SparsitySchedule, prune_loop
-from spikeprune.verify import check_prefix_once
+from spikeprune.verify import _randomize_bn, check_prefix_once
 
 TAU = 4.0 / 3.0
 
@@ -91,9 +92,9 @@ class TestForward:
         inputs = {}
         forward = LIF.forward
 
-        def recording(layer, xs, training):
+        def recording(layer, xs, training, **tile):
             inputs[id(layer)] = xs
-            return forward(layer, xs, training)
+            return forward(layer, xs, training, **tile)
 
         monkeypatch.setattr(LIF, "forward", recording)
         net.forward(rng.normal(size=(4, 1, 8, 8)), training=True)
@@ -123,15 +124,85 @@ class TestPrefixOnce:
         seen = {}
 
         def recording(forward):
-            def wrapped(layer, xs, training):
+            def wrapped(layer, xs, training, **tile):
                 seen[net.layers.index(layer)] = xs.shape[:2]
-                return forward(layer, xs, training)
+                return forward(layer, xs, training, **tile)
             return wrapped
 
         for cls in (Conv2d, BatchNorm2d, LIF):
             monkeypatch.setattr(cls, "forward", recording(cls.forward))
         net.forward(np.ones((2, 1, 8, 8)), training=True)
         assert seen == {0: (1, 2), 1: (1, 2), 2: (5, 2), 4: (5, 2), 5: (5, 2), 6: (5, 2)}
+
+
+def _eval_net(channels, seed):
+    """A desk-shaped net with non-trivial BN running statistics."""
+    rng = np.random.default_rng(seed)
+    net = SpikingNetwork(vgg_mini(channels=channels), rng)
+    for layer in net.layers:
+        if layer.kind == "batchnorm":
+            _randomize_bn(layer, rng)
+    return net, rng
+
+
+class TestInferenceTiles:
+    def test_tile_rule(self):
+        """The largest power of two whose biggest [T, tile, ...] activation
+        (conv 0's output) fits 1 MiB."""
+        assert inference_tile(vgg_mini(channels=(12, 24))) == 32     # 30720 B a sample
+        assert inference_tile(vgg_mini(channels=(64, 128))) == 4     # 163840 B a sample
+        assert inference_tile(linear_snn([16, 12, 8, 3])) == 2048
+        assert inference_tile(vgg_mini(input_shape=(1, 64, 64), channels=(64, 128))) == 1
+
+    @pytest.mark.parametrize("channels", [(12, 24), (64, 128)])
+    def test_tiled_forward_equals_full_batch_run(self, channels):
+        """Logits, features and every LIF layer's h and s are bit-identical to
+        the layer stack run once over the whole batch."""
+        net, rng = _eval_net(channels, seed=11)
+        t, n = net.spec.t_steps, 2 * net.tile + 3
+        x = 2.0 * rng.normal(size=(n, 1, 8, 8))
+        acts, traces = net.layer_input(x)[None], {}
+        for i, layer in enumerate(net.layers):
+            if i == net.lif_indices()[0]:
+                acts = np.broadcast_to(acts, (t,) + acts.shape[1:])
+            if i == len(net.layers) - 1:
+                features = acts.mean(axis=0)
+            acts = layer.forward(acts, False)
+            if layer.kind == "lif":
+                traces[i] = (layer.state.h, layer.state.s)
+        logits = net.forward(x, training=False)
+        np.testing.assert_array_equal(logits, acts.mean(axis=0))
+        np.testing.assert_array_equal(net.features, features)
+        for i, st in net.lif_states().items():
+            np.testing.assert_array_equal(st.h, traces[i][0])
+            np.testing.assert_array_equal(st.s, traces[i][1])
+
+    def test_no_patch_matrix_over_a_tile(self, monkeypatch):
+        net, rng = _eval_net((12, 24), seed=12)
+        rows = []
+        conv2d = ops.conv2d
+
+        def spy(x, weight, stride=1, padding=0):
+            out, patches = conv2d(x, weight, stride, padding)
+            rows.append((len(patches), out.shape[1] * out.shape[2]))
+            return out, patches
+
+        monkeypatch.setattr(ops, "conv2d", spy)
+        net.forward(rng.normal(size=(3 * net.tile + 1, 1, 8, 8)), training=False)
+        t = net.spec.t_steps
+        assert len(rows) == 2 * 4
+        assert all(m <= net.tile * t * positions for m, positions in rows)
+
+    def test_backward_needs_a_one_tile_forward(self):
+        net, rng = _eval_net((4, 8), seed=13)
+        for n in (net.tile, net.tile + 1):
+            net.forward(rng.normal(size=(n, 1, 8, 8)), training=False)
+            if n > net.tile:
+                with pytest.raises(StateError, match="2 tiles"):
+                    net.backward(np.zeros((n, 3)))
+            else:
+                net.backward(np.ones((n, 3)))
+                assert net.grad.any()
 
 
 class TestFlattenOrder:
