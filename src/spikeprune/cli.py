@@ -10,6 +10,7 @@ config's `out`, or $SPIKEPRUNE_OUT/<subcommand> (default ./runs/<subcommand>).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -48,6 +49,29 @@ from .train import (
 from .unstructured import SparsitySchedule, prune_loop, sparsity
 
 PACKAGE_ERRORS = (ConfigError, ValueError, RuntimeError, ArithmeticError, OSError)
+# glibc mallopt parameters, and the cap of glibc's own adaptive mmap threshold
+# on 64-bit.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+
+
+def fix_allocator_thresholds():
+    """Fix glibc's mmap and trim thresholds for the process.
+
+    By default glibc raises both after the process frees a large mmapped
+    block, so whether a training step reuses heap memory or faults in fresh
+    pages depends on which blocks the previous evaluation happened to free.
+    Fixed at the cap the adaptive rule reaches (trim at twice the mmap
+    threshold, as that rule sets it), every array below 32 MiB comes from
+    the heap whatever ran before. A no-op where mallopt is missing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
 
 
 def _out_dir(args, cfg: ExperimentConfig, sub: str) -> str:
@@ -357,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    fix_allocator_thresholds()
     handlers = {
         "train": cmd_train,
         "prune-unstructured": cmd_prune_unstructured,

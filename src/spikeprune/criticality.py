@@ -29,22 +29,23 @@ class BatchScores:
     count: int
 
 
-def score_batch(states: dict, aggregation: str = "max") -> BatchScores:
-    """Score one recorded forward pass.
+def sample_scores(states: dict, aggregation: str = "max") -> dict:
+    """Per-sample unit scores [n, units] of one recorded forward pass.
 
     states maps a LIF layer index to its LIFState. Conv-feature traces,
-    channels-last [T, N, H, W, C], reduce over their spatial axes to
-    per-channel scores; flat traces [T, N, F] score each neuron directly.
+    channels-last [T, n, H, W, C], reduce over their spatial axes to
+    per-channel scores; flat traces [T, n, F] score each neuron directly.
+    Each sample's row depends on that sample's trace only, so the rows of a
+    batch run in several forwards concatenate to those of one forward.
     """
     if aggregation not in AGGREGATIONS:
         raise ArgumentError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
     if not states:
         raise StateError("no recorded LIF states to score")
-    scores = {}
-    count = None
+    out = {}
     for key, st in states.items():
         g = st.gprime
-        per_sample = g.mean(axis=0)                      # time-mean, [N, ...]
+        per_sample = g.mean(axis=0)                      # time-mean, [n, ...]
         if per_sample.ndim == 4:
             if aggregation == "max":
                 per_sample = per_sample.max(axis=(1, 2))
@@ -52,13 +53,22 @@ def score_batch(states: dict, aggregation: str = "max") -> BatchScores:
                 per_sample = per_sample.mean(axis=(1, 2))
         elif per_sample.ndim != 2:
             raise StateError(f"layer {key}: unexpected trace shape {g.shape}")
-        n = per_sample.shape[0]
+        out[key] = per_sample
+    return out
+
+
+def score_batch(per_sample: dict) -> BatchScores:
+    """Batch means of per-sample scores (sample_scores, concatenated over
+    the forwards that ran the batch)."""
+    if not per_sample:
+        raise StateError("no per-sample scores to average")
+    count = None
+    for key, rows in per_sample.items():
         if count is None:
-            count = n
-        elif count != n:
-            raise StateError(f"layer {key}: sample count {n} disagrees with {count}")
-        scores[key] = per_sample.mean(axis=0)
-    return BatchScores(scores=scores, count=count)
+            count = len(rows)
+        elif count != len(rows):
+            raise StateError(f"layer {key}: sample count {len(rows)} disagrees with {count}")
+    return BatchScores({key: rows.mean(axis=0) for key, rows in per_sample.items()}, count)
 
 
 class CriticalityTable:

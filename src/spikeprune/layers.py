@@ -337,29 +337,19 @@ class LIF(Layer):
         self.relaxed = False
         self.state: LIFState | None = None
 
-    def forward(self, xs, training, batch=None, at=0):
+    def forward(self, xs, training):
         """Run the recurrence over xs [T, n, ...]; returns the spikes.
 
-        A network running a batch of `batch` samples tile by tile passes each
-        tile's first sample as `at`: the tile at 0 starts new [T, batch, ...]
-        traces, and each tile writes its h and s into its rows of them.
+        Each call records a new state for its own n samples: a network's
+        inference forward keeps only its current tile's h and s.
         """
         p = self.lif_params
-        n = xs.shape[1]
-        if at == 0:
-            # h and s share one block. Freed, a block this size lifts glibc's
-            # adaptive mmap threshold above a training step's transients, so
-            # they are reused from the heap instead of being faulted in anew.
-            hs = np.empty((2, xs.shape[0], batch or n) + xs.shape[2:])
-            st = LIFState(hs[0], hs[1], p.v_threshold)
-        else:
-            st = self.state
-        h, s = st.h[:, at:at + n], st.s[:, at:at + n]
+        st = LIFState(np.empty(xs.shape), np.empty(xs.shape), p.v_threshold)
         u = np.full(xs.shape[1:], p.v_reset)
         for t in range(xs.shape[0]):
-            u = lif_step(xs[t], u, p, h[t], s[t], relaxed=self.relaxed)
+            u = lif_step(xs[t], u, p, st.h[t], st.s[t], relaxed=self.relaxed)
         self.state = st
-        return s
+        return st.s
 
     def backward(self, gys):
         if self.state is None:

@@ -314,7 +314,9 @@ class SpikingNetwork:
         return [i for i, l in enumerate(self.layers) if isinstance(l, LIF)]
 
     def lif_states(self) -> dict:
-        """Current LIFState per LIF layer index; StateError if any is missing."""
+        """Current LIFState per LIF layer index; StateError if any is missing
+        or the last forward ran more than one inference tile."""
+        self._one_tile("lif_states()")
         out = {}
         for i in self.lif_indices():
             st = self.layers[i].state
@@ -362,17 +364,21 @@ class SpikingNetwork:
 
         Inference runs the whole layer stack on `tile` samples before starting
         the next tile; a training forward is one tile, since batch-norm
-        statistics couple the batch. The logits, `features` and every LIF
-        state cover the full batch; the other layers' caches hold the last
-        tile only, so backward refuses a forward of more than one tile.
+        statistics couple the batch. The logits and `features` cover the full
+        batch; every layer cache, LIF states included, holds the last tile
+        only, so lif_states() and backward refuse a forward of more than one
+        tile.
         """
         t = self.spec.t_steps
         x = self.layer_input(x)
         n = len(x)
+        if n == 0:
+            raise DimensionError("forward needs at least one sample")
         step = n if training else self.tile
         head = self.layers[self._head_index]
         self.features = np.empty((n, head.in_features))
         logits = np.empty((n, head.out_features))
+        self._tiles = -(-n // step)
         for lo in range(0, n, step):
             acts = x[lo:lo + step][None]
             for i, layer in enumerate(self.layers):
@@ -380,23 +386,22 @@ class SpikingNetwork:
                     acts = np.broadcast_to(acts, (t,) + acts.shape[1:])
                 if i == self._head_index:
                     np.mean(acts, axis=0, out=self.features[lo:lo + step])
-                if isinstance(layer, LIF):
-                    acts = layer.forward(acts, training, batch=n, at=lo)
-                else:
-                    acts = layer.forward(acts, training)
+                acts = layer.forward(acts, training)
             np.mean(acts, axis=0, out=logits[lo:lo + step])
         self._t_out = acts.shape[0]
-        self._tiles = -(-n // step)
         return logits
+
+    def _one_tile(self, what: str):
+        if self._tiles > 1:
+            raise StateError(f"{what} after an inference forward of {self._tiles} tiles: "
+                             f"the layer caches hold only the last tile")
 
     def backward(self, dlogits: np.ndarray):
         """Propagate loss gradient through time and layers; fills layer grads."""
         t = self._t_out
         if t is None:
             raise StateError("backward before forward")
-        if self._tiles > 1:
-            raise StateError(f"backward after an inference forward of {self._tiles} tiles: "
-                             f"the layer caches hold only the last tile")
+        self._one_tile("backward")
         g = np.broadcast_to(dlogits / t, (t,) + dlogits.shape)
         for i in range(len(self.layers) - 1, -1, -1):
             g = self.layers[i].backward(g)

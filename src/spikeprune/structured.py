@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import SurvivalLedger
-from .criticality import CriticalityTable, score_batch
+from .criticality import CriticalityTable, sample_scores, score_batch
 from .errors import ArgumentError, DimensionError
 from .network import NetworkSpec, SpikingNetwork, trace_shapes
 from .unstructured import extend_sparsity, round_half_up
@@ -299,11 +299,21 @@ def count_flops(spec: NetworkSpec, plan: ChannelPlan | None = None) -> FlopsRepo
 
 def criticality_over_dataset(net: SpikingNetwork, x: np.ndarray, batch_size: int,
                              aggregation: str = "max") -> dict:
-    """Accumulate channel criticality over a full dataset in inference mode."""
+    """Accumulate channel criticality over a full dataset in inference mode.
+
+    Each batch runs one inference tile per forward, the most whose LIF
+    states a forward keeps; the tiles' per-sample scores are concatenated
+    and averaged over the batch, so the table equals one full-batch run's.
+    """
     table = CriticalityTable()
     for i in range(0, x.shape[0], batch_size):
-        net.forward(x[i:i + batch_size], training=False)
-        table.accumulate(score_batch(net.lif_states(), aggregation))
+        xb = x[i:i + batch_size]
+        tiles = []
+        for lo in range(0, len(xb), net.tile):
+            net.forward(xb[lo:lo + net.tile], training=False)
+            tiles.append(sample_scores(net.lif_states(), aggregation))
+        table.accumulate(score_batch({key: np.concatenate([t[key] for t in tiles])
+                                      for key in tiles[0]}))
     finalized = table.finalize()
     return {i: finalized[net.scoring_lif(i)]
             for i, layer in enumerate(net.layers) if layer.kind == "batchnorm"}

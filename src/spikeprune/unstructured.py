@@ -12,7 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import SurvivalLedger
-from .criticality import CriticalityTable, network_connection_scores, score_batch
+from .criticality import (
+    CriticalityTable,
+    network_connection_scores,
+    sample_scores,
+    score_batch,
+)
 from .errors import ArgumentError
 from .optim import lr_at
 
@@ -189,7 +194,7 @@ def prune_loop(net, trainer, sched: SparsitySchedule, epochs: int,
                 k, chosen = 0, np.empty(0, dtype=np.intp)
                 if not gmp_only:
                     table = CriticalityTable()
-                    table.accumulate(score_batch(net.lif_states(), aggregation))
+                    table.accumulate(score_batch(sample_scores(net.lif_states(), aggregation)))
                     conn = network_connection_scores(net, table.finalize())
                     k = round_half_up((1.0 - s_t) * mask.size) - int(np.count_nonzero(mask))
                     chosen = regenerate(mask, weights, conn, snapshot, k)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -196,9 +197,11 @@ def check_prefix_once():
     over T; it must match T explicit copies in logits, features, the h, s and
     g' traces, every gradient and the BN running statistics, in training and
     eval mode at batch 32. An eval batch of two full inference tiles plus a
-    ragged tail checks the tiled forward the same way, without backward,
-    which refuses a forward of more than one tile. Checked on the desk
-    network width and a deeper fully connected stack."""
+    ragged tail checks the tiled forward's logits and features the same way,
+    without backward, which refuses a forward of more than one tile; its
+    traces are checked tile by tile, each tile run alone as a one-tile
+    forward against the reference rows. Checked on the desk network width
+    and a deeper fully connected stack."""
     specs = (vgg_mini(channels=(12, 24), t_steps=5), linear_snn([16, 12, 8, 3], t_steps=5))
     worst = 0.0
     for k, spec in enumerate(specs):
@@ -220,9 +223,14 @@ def check_prefix_once():
             if one_tile:
                 net.backward(dlogits)
                 pairs.append((net.grad, ref.grad))
-            for i, st in net.lif_states().items():
-                r = ref.layers[i].state
-                pairs += [(st.h, r.h), (st.s, r.s), (st.gprime, r.gprime)]
+            for lo in [0] if one_tile else range(0, batch, tile):
+                if not one_tile:
+                    net.forward(x[lo:lo + tile], training)      # this tile alone
+                for i, st in net.lif_states().items():
+                    r = ref.layers[i].state
+                    rows = slice(lo, lo + len(st.h[0]))
+                    pairs += [(st.h, r.h[:, rows]), (st.s, r.s[:, rows]),
+                              (st.gprime, r.gprime[:, rows])]
             ref_stats = ref.state_arrays()
             pairs += [(a, ref_stats[name]) for name, a in net.state_arrays().items()]
             err = max(_rel(a, b) for a, b in pairs)
@@ -479,24 +487,37 @@ def check_survival_replay():
 
 
 def check_checkpoint_roundtrip(tmp_dir):
-    """Float and bit-packed bool entries (15 mask bits: one padded byte)."""
+    """Float and bit-packed bool entries (15 mask bits: one padded byte) in a
+    format-3 file, whose CRC32 trailer catches a flipped data bit."""
     rng = np.random.default_rng(7)
     arrays = {"w": rng.normal(size=(3, 5)), "mask/w": rng.random((3, 5)) < 0.5}
     meta = {"note": "roundtrip", "nested": {"a": 1}}
-    p1 = f"{tmp_dir}/first.ckpt"
-    p2 = f"{tmp_dir}/second.ckpt"
+    p1 = Path(tmp_dir, "first.ckpt")
+    p2 = Path(tmp_dir, "second.ckpt")
     checkpoint.save(p1, arrays, meta)
     loaded, meta2 = checkpoint.load(p1)
     checkpoint.save(p2, loaded, meta2)
-    with open(p1, "rb") as f1, open(p2, "rb") as f2:
-        same = f1.read() == f2.read()
+    blob = p1.read_bytes()
     mask = loaded["mask/w"]
     mask_ok = mask.dtype == np.bool_ and np.array_equal(mask, arrays["mask/w"])
-    if not same:
+    if blob != p2.read_bytes():
         return False, "bytes differ"
     if not mask_ok:
         return False, f"bool mask came back as {mask.dtype} or with other values"
-    return True, "save -> load -> save byte-identical, bool mask bit-packed"
+    if blob[4] != 3 or blob[-4:] != zlib.crc32(blob[:-4]).to_bytes(4, "little"):
+        return False, "the file is not format 3 with a CRC32 trailer"
+    flipped = bytearray(blob)
+    flipped[-5] ^= 1                    # the last data byte, inside the w entry
+    p2.write_bytes(flipped)
+    try:
+        checkpoint.load(p2)
+    except ValueError as exc:
+        if "checksum" not in str(exc):
+            return False, f"a flipped data bit failed with {exc}"
+    else:
+        return False, "a flipped data bit loaded without error"
+    return True, ("format 3: save -> load -> save byte-identical, bool mask bit-packed, "
+                  "a flipped data bit fails the CRC32")
 
 
 DETERMINISM_CONFIG = (

@@ -13,6 +13,7 @@ from spikeprune.criticality import (
     connection_scores,
     head_connection_scores,
     network_connection_scores,
+    sample_scores,
     score_batch,
     scores_to_rows,
 )
@@ -30,6 +31,11 @@ def state_from_gprime(gp):
     return st
 
 
+def scored(states, aggregation="max"):
+    """Batch scores of one recorded forward: the per-sample step, then the mean."""
+    return score_batch(sample_scores(states, aggregation))
+
+
 def channels_last(gp):
     """A conv trace written as [T, N, C, H, W], in the layers' [T, N, H, W, C] layout."""
     return np.moveaxis(gp, 2, -1)
@@ -39,7 +45,7 @@ class TestScoreBatch:
     def test_time_mean_linear(self):
         # one neuron, g' = {1.0, 0.5} over T=2 -> 0.75
         gp = np.array([1.0, 0.5]).reshape(2, 1, 1)
-        out = score_batch({0: state_from_gprime(gp)})
+        out = scored({0: state_from_gprime(gp)})
         assert out.scores[0][0] == 0.75
         assert out.count == 1
 
@@ -48,27 +54,33 @@ class TestScoreBatch:
         gp = np.zeros((2, 1, 1, 1, 2))
         gp[:, 0, 0, 0, 0] = [1.0, 0.5]   # time-mean 0.75
         gp[:, 0, 0, 0, 1] = [0.2, 0.2]   # time-mean 0.20
-        out_max = score_batch({0: state_from_gprime(channels_last(gp))}, "max")
-        out_mean = score_batch({0: state_from_gprime(channels_last(gp))}, "mean")
+        out_max = scored({0: state_from_gprime(channels_last(gp))}, "max")
+        out_mean = scored({0: state_from_gprime(channels_last(gp))}, "mean")
         assert out_max.scores[0][0] == 0.75
         assert out_mean.scores[0][0] == pytest.approx((0.75 + 0.2) / 2)
 
     def test_all_at_threshold_scores_one(self):
         gp = np.ones((3, 4, 2, 2, 2))
-        out = score_batch({0: state_from_gprime(channels_last(gp))}, "max")
+        out = scored({0: state_from_gprime(channels_last(gp))}, "max")
         np.testing.assert_array_equal(out.scores[0], np.ones(2))
 
     def test_empty_states(self):
         with pytest.raises(StateError):
+            sample_scores({})
+        with pytest.raises(StateError):
             score_batch({})
+
+    def test_sample_counts_must_agree(self):
+        with pytest.raises(StateError, match="sample count 2 disagrees with 3"):
+            score_batch({0: np.ones((3, 4)), 1: np.ones((2, 4))})
 
     @given(st.integers(1, 6), st.integers(1, 5))
     @settings(max_examples=25, deadline=None)
     def test_max_at_least_mean(self, n, c):
         rng = np.random.default_rng(n * 31 + c)
         gp = rng.uniform(0.001, 1.0, size=(3, n, c, 2, 3))
-        hi = score_batch({0: state_from_gprime(channels_last(gp))}, "max").scores[0]
-        lo = score_batch({0: state_from_gprime(channels_last(gp))}, "mean").scores[0]
+        hi = scored({0: state_from_gprime(channels_last(gp))}, "max").scores[0]
+        lo = scored({0: state_from_gprime(channels_last(gp))}, "mean").scores[0]
         assert np.all(hi >= lo - 1e-15)
 
     def test_far_from_threshold_bound(self):
@@ -78,14 +90,14 @@ class TestScoreBatch:
         xs = np.full((4, 2, 3), 100.0)   # membrane lands far above threshold
         layer.forward(xs, training=True)
         assert np.all(np.abs(layer.state.h - 1.0) >= 10)
-        out = score_batch({0: layer.state})
+        out = scored({0: layer.state})
         bound = 1.0 / (1.0 + 100.0 * np.pi ** 2)
         assert np.all(out.scores[0] <= bound)
 
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(9)
         gp = rng.uniform(1e-6, 1.0, size=(5, 3, 4))
-        out = score_batch({0: state_from_gprime(gp)})
+        out = scored({0: state_from_gprime(gp)})
         assert np.all(out.scores[0] > 0) and np.all(out.scores[0] <= 1.0)
 
 
@@ -159,7 +171,7 @@ class TestConnectionScores:
         rng = np.random.default_rng(12)
         net = SpikingNetwork(vgg_mini(channels=(2, 3)), rng)
         net.forward(rng.normal(size=(2, 1, 8, 8)), training=True)
-        out = score_batch(net.lif_states())
+        out = scored(net.lif_states())
         table = CriticalityTable()
         table.accumulate(out)
         finalized = table.finalize()

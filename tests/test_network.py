@@ -92,9 +92,9 @@ class TestForward:
         inputs = {}
         forward = LIF.forward
 
-        def recording(layer, xs, training, **tile):
+        def recording(layer, xs, training):
             inputs[id(layer)] = xs
-            return forward(layer, xs, training, **tile)
+            return forward(layer, xs, training)
 
         monkeypatch.setattr(LIF, "forward", recording)
         net.forward(rng.normal(size=(4, 1, 8, 8)), training=True)
@@ -124,9 +124,9 @@ class TestPrefixOnce:
         seen = {}
 
         def recording(forward):
-            def wrapped(layer, xs, training, **tile):
+            def wrapped(layer, xs, training):
                 seen[net.layers.index(layer)] = xs.shape[:2]
-                return forward(layer, xs, training, **tile)
+                return forward(layer, xs, training)
             return wrapped
 
         for cls in (Conv2d, BatchNorm2d, LIF):
@@ -156,8 +156,9 @@ class TestInferenceTiles:
 
     @pytest.mark.parametrize("channels", [(12, 24), (64, 128)])
     def test_tiled_forward_equals_full_batch_run(self, channels):
-        """Logits, features and every LIF layer's h and s are bit-identical to
-        the layer stack run once over the whole batch."""
+        """Logits and features are bit-identical to the layer stack run once
+        over the whole batch; so are every LIF layer's h, s and g' of each
+        tile, run alone as a one-tile forward, against its rows."""
         net, rng = _eval_net(channels, seed=11)
         t, n = net.spec.t_steps, 2 * net.tile + 3
         x = 2.0 * rng.normal(size=(n, 1, 8, 8))
@@ -169,13 +170,39 @@ class TestInferenceTiles:
                 features = acts.mean(axis=0)
             acts = layer.forward(acts, False)
             if layer.kind == "lif":
-                traces[i] = (layer.state.h, layer.state.s)
+                traces[i] = layer.state
         logits = net.forward(x, training=False)
         np.testing.assert_array_equal(logits, acts.mean(axis=0))
         np.testing.assert_array_equal(net.features, features)
-        for i, st in net.lif_states().items():
-            np.testing.assert_array_equal(st.h, traces[i][0])
-            np.testing.assert_array_equal(st.s, traces[i][1])
+        for lo in range(0, n, net.tile):
+            net.forward(x[lo:lo + net.tile], training=False)
+            rows = slice(lo, lo + net.tile)
+            for i, st in net.lif_states().items():
+                np.testing.assert_array_equal(st.h, traces[i].h[:, rows])
+                np.testing.assert_array_equal(st.s, traces[i].s[:, rows])
+                np.testing.assert_array_equal(st.gprime, traces[i].gprime[:, rows])
+
+    def test_lif_states_need_a_one_tile_forward(self):
+        net, rng = _eval_net((4, 8), seed=14)
+        net.forward(rng.normal(size=(net.tile + 1, 1, 8, 8)), training=False)
+        with pytest.raises(StateError, match="2 tiles"):
+            net.lif_states()
+        net.forward(rng.normal(size=(net.tile, 1, 8, 8)), training=False)
+        assert all(st.h.shape[1] == net.tile for st in net.lif_states().values())
+
+    def test_lif_traces_hold_one_tile(self):
+        """After a multi-tile eval forward no LIF layer holds more than a tile."""
+        net, rng = _eval_net((12, 24), seed=15)
+        net.forward(rng.normal(size=(3 * net.tile + 1, 1, 8, 8)), training=False)
+        for i in net.lif_indices():
+            st = net.layers[i].state
+            assert st.h.shape[1] <= net.tile and st.s.shape[1] <= net.tile
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_empty_batch_raises(self, training):
+        net = SpikingNetwork(vgg_mini(), np.random.default_rng(0))
+        with pytest.raises(DimensionError, match="at least one sample"):
+            net.forward(np.zeros((0, 1, 8, 8)), training=training)
 
     def test_no_patch_matrix_over_a_tile(self, monkeypatch):
         net, rng = _eval_net((12, 24), seed=12)
@@ -429,15 +456,16 @@ class TestCheckpoint:
 
     def _corrupt_code(self, tmp_path, code: bytes, last_byte: int | None = None):
         """A one-entry bool checkpoint with its dtype byte (and optionally its
-        last data byte) overwritten; returns the path and the dtype byte offset."""
+        data byte) overwritten; returns the path and the dtype byte offset.
+        The parse fails before the CRC32 trailer is read."""
         p = tmp_path / "c.ckpt"
         checkpoint.save(p, {"m": np.ones(5, dtype=bool)}, {})
         blob = bytearray(p.read_bytes())
-        at = len(blob) - 2          # one dtype byte, then ceil(5/8) = 1 data byte
-        assert blob[at:] == b"b\xf8"
+        at = len(blob) - 6          # dtype byte, ceil(5/8) = 1 data byte, 4 CRC bytes
+        assert blob[at:at + 2] == b"b\xf8"
         blob[at:at + 1] = code
         if last_byte is not None:
-            blob[-1] = last_byte
+            blob[at + 1] = last_byte
         p.write_bytes(bytes(blob))
         return p, at
 
