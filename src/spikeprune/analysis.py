@@ -111,13 +111,10 @@ def replay_mask_history(initial_mask: np.ndarray, history: list) -> dict:
 # Feature geometry
 # ---------------------------------------------------------------------------
 
-def extract_features(net, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Pre-classifier activations (time-mean over T), batched in eval mode."""
-    chunks = []
-    for i in range(0, x.shape[0], batch_size):
-        net.forward(x[i:i + batch_size], training=False)
-        chunks.append(net.features)
-    return np.concatenate(chunks)
+def extract_features(net, x: np.ndarray) -> np.ndarray:
+    """Pre-classifier activations (time-mean over T) from one eval-mode forward."""
+    net.forward(x, training=False)
+    return net.features
 
 
 @dataclass

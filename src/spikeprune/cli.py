@@ -51,7 +51,7 @@ from .unstructured import SparsitySchedule, prune_loop, sparsity
 PACKAGE_ERRORS = (ConfigError, ValueError, RuntimeError, ArithmeticError, OSError)
 # glibc mallopt parameters, and the cap of glibc's own adaptive mmap threshold
 # on 64-bit.
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 MMAP_THRESHOLD = 32 << 20
 
 
@@ -63,7 +63,9 @@ def fix_allocator_thresholds():
     pages depends on which blocks the previous evaluation happened to free.
     Fixed at the cap the adaptive rule reaches (trim at twice the mmap
     threshold, as that rule sets it), every array below 32 MiB comes from
-    the heap whatever ran before. A no-op where mallopt is missing.
+    the heap whatever ran before. One arena serves every thread: the
+    inference workers would otherwise get arenas of their own, which the trim
+    threshold never shrinks. A no-op where mallopt is missing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -72,6 +74,7 @@ def fix_allocator_thresholds():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
+    mallopt(M_ARENA_MAX, 1)
 
 
 def _out_dir(args, cfg: ExperimentConfig, sub: str) -> str:
@@ -244,7 +247,8 @@ def cmd_prune_structured(args) -> int:
                     "force_kept": [list(fc) for fc in res.info.force_kept]},
         rng=rng,
     )
-    final_acc = res.finetune_rows[-1][5] if res.finetune_rows else float("nan")
+    final_acc = (res.finetune_rows[-1][5] if res.finetune_rows
+                 else make_trainer(res.net, 0).evaluate()[1])
     print(f"prune-structured: kept {res.plan.survivors()}/{res.plan.total_channels} "
           f"channels, flops reduction {res.flops.reduction:.4f}, "
           f"final test acc {final_acc:.4f}, artifacts in {out}")

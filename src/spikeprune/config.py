@@ -10,6 +10,7 @@ v_threshold, v_reset) are the published settings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .data import DatasetSpec
@@ -135,13 +136,17 @@ def _parse_value(key: str, raw: str):
         if key in _INT_KEYS:
             return int(raw)
         if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _TUPLE_KEYS:
+            value = float(raw)
+        elif key in _TUPLE_KEYS:
             sep = "x" if "x" in raw else ","
             return tuple(int(p.strip()) for p in raw.split(sep))
+        else:
+            return raw
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r}") from None
-    return raw
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: must be finite, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -80,11 +80,14 @@ def lif_step(weighted_input: np.ndarray, prev_u: np.ndarray, params: LIFParams,
     h += prev_u
     if relaxed:
         s[...] = surrogate_g(h - params.v_threshold)
+        u = 1.0 - s
+        u *= h
     else:
         np.greater_equal(h, params.v_threshold, out=s)
-    u = 1.0 - s
-    u *= h
-    u += params.v_reset * s
+        u = np.multiply(h, s, out=np.empty_like(h))
+        np.subtract(h, u, out=u)        # h*(1-s) for binary s, up to a zero's sign
+    if params.v_reset:
+        u += params.v_reset * s
     return u
 
 

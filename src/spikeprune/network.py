@@ -16,7 +16,12 @@ LIF layer (conv layers through a batch-norm).
 
 from __future__ import annotations
 
+import contextvars
+import copy
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +43,10 @@ WEIGHTED_KINDS = ("conv", "linear")
 # starting the next, so that a tile's transients stay near cache size: its
 # biggest activation gets about half of a 2 MiB per-core L2.
 TILE_BYTES = 1 << 20
+# An inference forward shares its tiles among threads, one per core, only if
+# each gets at least this many: a short two-thread burst runs no faster than
+# one thread on a core that has just gone idle.
+MIN_TILES_PER_THREAD = 16
 # Arena position of each parameter name: weights, then biases, then BN affine.
 _ARENA_RANK = {"weight": 0, "bias": 1, "gamma": 2, "beta": 2}
 
@@ -166,6 +175,12 @@ def inference_tile(spec: NetworkSpec) -> int:
     return 1 << (max(TILE_BYTES // per_sample, 1).bit_length() - 1)
 
 
+def inference_threads(tiles: int) -> int:
+    """Threads an inference forward of `tiles` tiles runs on: one per core the
+    process may run on, with at least MIN_TILES_PER_THREAD tiles each."""
+    return max(min(len(os.sched_getaffinity(0)), tiles // MIN_TILES_PER_THREAD), 1)
+
+
 def validate_spec(spec: NetworkSpec):
     """Shape composition plus the fire-placement rule.
 
@@ -202,7 +217,8 @@ class SpikingNetwork:
 
     Single-writer: forward/backward mutate cached state and must not run
     concurrently on one instance. Read-only evaluation of distinct instances
-    is independent.
+    is independent. An inference forward's worker threads (see forward)
+    finish before it returns, and only read the shared parameters.
     """
 
     def __init__(self, spec: NetworkSpec, rng: np.random.Generator):
@@ -342,35 +358,49 @@ class SpikingNetwork:
             if isinstance(layer, LIF):
                 layer.relaxed = bool(on)
 
-    def layer_input(self, x: np.ndarray) -> np.ndarray:
-        """x [N, C, H, W] (or [N, F]) as a fresh float64 array in the layers'
-        channels-last layout [N, H, W, C]; the one place that converts it."""
+    def _checked_input(self, x: np.ndarray) -> np.ndarray:
+        """x as an array; DimensionError unless its samples fit the network input."""
         x = np.asarray(x)
         if x.shape[1:] != tuple(self.spec.input_shape):
             raise DimensionError(
                 f"input shape {x.shape[1:]} != network input {tuple(self.spec.input_shape)}"
             )
+        return x
+
+    def layer_input(self, x: np.ndarray) -> np.ndarray:
+        """x [N, C, H, W] (or [N, F]) as a fresh float64 array in the layers'
+        channels-last layout [N, H, W, C]; the one place that converts it."""
+        x = self._checked_input(x)
         if x.ndim == 4:
             x = x.transpose(0, 2, 3, 1)
         return np.array(x, dtype=np.float64, order="C")     # layers cache their input
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False, on_tile=None) -> np.ndarray:
         """Run the net on x [N, C, H, W]; returns logits [N, classes].
 
-        The input is converted once by layer_input; every activation after it
-        is channels-last, [T, N, H, W, C], until Flatten emits (C, H, W)
-        ordered features. Conv weights, in the arena and in checkpoints, stay
-        [Cout, Cin, kh, kw].
+        Each tile's input is converted by layer_input, so no float64 copy of
+        the whole input is made; every activation after it is channels-last,
+        [T, N, H, W, C], until Flatten emits (C, H, W) ordered features. Conv
+        weights, in the arena and in checkpoints, stay [Cout, Cin, kh, kw].
 
         Inference runs the whole layer stack on `tile` samples before starting
         the next tile; a training forward is one tile, since batch-norm
         statistics couple the batch. The logits and `features` cover the full
         batch; every layer cache, LIF states included, holds the last tile
         only, so lif_states() and backward refuse a forward of more than one
-        tile.
+        tile. on_tile(rows, states), if given, is called after each tile with
+        the tile's row slice and its LIF states by layer index.
+
+        Inference runs on inference_threads threads. Each takes the next
+        tile not yet taken, so a thread slowed by a busy core takes fewer;
+        workers run shallow layer copies, which share the parameter arrays,
+        and the caller runs `layers` and keeps the last tile for itself. It
+        waits for every thread before it returns or raises the error of the
+        earliest tile that failed. A tile writes only its own rows, so no
+        result depends on the number of threads or on who ran which tile.
         """
         t = self.spec.t_steps
-        x = self.layer_input(x)
+        x = self._checked_input(x)
         n = len(x)
         if n == 0:
             raise DimensionError("forward needs at least one sample")
@@ -378,17 +408,47 @@ class SpikingNetwork:
         head = self.layers[self._head_index]
         self.features = np.empty((n, head.in_features))
         logits = np.empty((n, head.out_features))
-        self._tiles = -(-n // step)
-        for lo in range(0, n, step):
-            acts = x[lo:lo + step][None]
-            for i, layer in enumerate(self.layers):
-                if i == self._first_lif:
-                    acts = np.broadcast_to(acts, (t,) + acts.shape[1:])
-                if i == self._head_index:
-                    np.mean(acts, axis=0, out=self.features[lo:lo + step])
-                acts = layer.forward(acts, training)
-            np.mean(acts, axis=0, out=logits[lo:lo + step])
-        self._t_out = acts.shape[0]
+        starts = range(0, n, step)
+        self._tiles = len(starts)
+        pending = iter(starts[:-1])     # tiles for whichever thread is free
+        lock = threading.Lock()
+        errors = {}                     # tile start -> the error it raised
+        lifs = self.lif_indices()
+
+        def take():
+            with lock:
+                return next(pending, None)
+
+        def run(layers, last):
+            for lo in itertools.chain(iter(take, None), last):
+                rows = slice(lo, lo + step)
+                try:
+                    acts = self.layer_input(x[rows])[None]
+                    for i, layer in enumerate(layers):
+                        if i == self._first_lif:
+                            acts = np.broadcast_to(acts, (t,) + acts.shape[1:])
+                        if i == self._head_index:
+                            np.mean(acts, axis=0, out=self.features[rows])
+                        acts = layer.forward(acts, training)
+                    np.mean(acts, axis=0, out=logits[rows])
+                    if on_tile is not None:
+                        on_tile(rows, {i: layers[i].state for i in lifs})
+                except BaseException as exc:    # re-raised by the caller
+                    errors[lo] = exc
+                    return
+
+        threads = 1 if training else inference_threads(len(starts))
+        workers = [threading.Thread(target=contextvars.copy_context().run,
+                                    args=(run, [copy.copy(l) for l in self.layers], ()))
+                   for _ in range(threads - 1)]
+        for w in workers:
+            w.start()
+        run(self.layers, starts[-1:])
+        for w in workers:
+            w.join()
+        if errors:
+            raise errors[min(errors)]
+        self._t_out = t if self._first_lif < len(self.layers) else 1
         return logits
 
     def _one_tile(self, what: str):

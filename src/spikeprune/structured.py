@@ -301,19 +301,22 @@ def criticality_over_dataset(net: SpikingNetwork, x: np.ndarray, batch_size: int
                              aggregation: str = "max") -> dict:
     """Accumulate channel criticality over a full dataset in inference mode.
 
-    Each batch runs one inference tile per forward, the most whose LIF
-    states a forward keeps; the tiles' per-sample scores are concatenated
-    and averaged over the batch, so the table equals one full-batch run's.
+    One forward runs the whole set; each tile's per-sample scores go into
+    their rows as the tile finishes, and the table accumulates them per
+    batch_size slice, so it equals one full-batch run per batch.
     """
+    shapes = trace_shapes(net.spec)
+    per_sample = {i: np.empty((len(x), shapes[i][0])) for i in net.lif_indices()}
+
+    def on_tile(rows, states):
+        for key, scores in sample_scores(states, aggregation).items():
+            per_sample[key][rows] = scores
+
+    net.forward(x, training=False, on_tile=on_tile)
     table = CriticalityTable()
-    for i in range(0, x.shape[0], batch_size):
-        xb = x[i:i + batch_size]
-        tiles = []
-        for lo in range(0, len(xb), net.tile):
-            net.forward(xb[lo:lo + net.tile], training=False)
-            tiles.append(sample_scores(net.lif_states(), aggregation))
-        table.accumulate(score_batch({key: np.concatenate([t[key] for t in tiles])
-                                      for key in tiles[0]}))
+    for i in range(0, len(x), batch_size):
+        table.accumulate(score_batch({key: s[i:i + batch_size]
+                                      for key, s in per_sample.items()}))
     finalized = table.finalize()
     return {i: finalized[net.scoring_lif(i)]
             for i, layer in enumerate(net.layers) if layer.kind == "batchnorm"}

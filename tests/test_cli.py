@@ -86,6 +86,21 @@ class TestSubcommands:
         crit = (root / "s" / "criticality.csv").read_text().splitlines()
         assert crit[0] == "layer,unit,score" and len(crit) > 1
 
+    def test_structured_without_finetune_reports_slim_accuracy(self, tiny_cfg, capsys):
+        """N_f = 0: the printed accuracy is the slimmed net's, from one evaluation."""
+        cfg, root = tiny_cfg
+        Path(cfg).write_text(TINY.replace("N_f = 1", "N_f = 0"))
+        out = root / "s0"
+        assert main(["prune-structured", "--config", cfg, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.split("final test acc ")[1].split(",")[0]
+        assert (out / "finetune_log.csv").read_text().splitlines() == [cli.EPOCH_HEADER]
+        net, _, meta = cli.load_run_state(str(out / "checkpoint_slim.ckpt"))
+        conf = cli.ExperimentConfig.from_dict(meta["config"])
+        data = cli.load_dataset(conf.dataset_spec(), np.random.default_rng(conf.seed))
+        trainer = cli.Trainer(net, data, cli._train_cfg(conf, 0, "structured"),
+                              np.random.default_rng(0))
+        assert printed == f"{trainer.evaluate()[1]:.4f}"
+
     def test_analyze_metrics(self, tiny_cfg):
         cfg, root = tiny_cfg
         main(["train", "--config", cfg, "--out", str(root / "t")])
@@ -448,7 +463,8 @@ class TestAllocatorThresholds:
 
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
         cli.fix_allocator_thresholds()
-        assert calls == [(cli.M_MMAP_THRESHOLD, 32 << 20), (cli.M_TRIM_THRESHOLD, 64 << 20)]
+        assert calls == [(cli.M_MMAP_THRESHOLD, 32 << 20), (cli.M_TRIM_THRESHOLD, 64 << 20),
+                         (cli.M_ARENA_MAX, 1)]
         assert Libc.mallopt.argtypes == (cli.ctypes.c_int, cli.ctypes.c_int)
 
     @pytest.mark.parametrize("missing", [AttributeError, OSError])

@@ -5,7 +5,12 @@ import struct
 import numpy as np
 import pytest
 
-from spikeprune.config import ExperimentConfig, default_regen_ratio, parse_config_text
+from spikeprune.config import (
+    _FLOAT_KEYS,
+    ExperimentConfig,
+    default_regen_ratio,
+    parse_config_text,
+)
 from spikeprune.data import DatasetSpec, load_idx, make_synthetic
 from spikeprune.errors import ArgumentError, ConfigError
 
@@ -69,6 +74,14 @@ class TestConfig:
             parse_config_text("delta_t = 0\n")
         with pytest.raises(ConfigError, match="aggregation"):
             parse_config_text("aggregation = median\n")
+
+    @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+    def test_non_finite_float_names_key(self, key):
+        """nan and inf are refused at parse time, before any default or range
+        check could let them through."""
+        for raw in ("nan", "inf", "-inf", "NaN"):
+            with pytest.raises(ConfigError, match=f"key '{key}': must be finite"):
+                parse_config_text(f"{key} = {raw}\n")
 
     def test_roundtrip_dict(self):
         cfg = parse_config_text("seed = 5\nchannels = 2,3\n")

@@ -2,11 +2,14 @@
 oracles, relaxed-mode finite differences, and checkpoint round-trips.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from conftest import save_v1, tiny_run
-from spikeprune import checkpoint, layers, ops
+from spikeprune import checkpoint, layers, network, ops
 from spikeprune.analysis import extract_features
 from spikeprune.errors import DimensionError, NumericError, StateError
 from spikeprune.layers import LIF, BatchNorm2d, Conv2d, LIFParams, lif_step, surrogate_gprime
@@ -21,6 +24,7 @@ from spikeprune.network import (
     vgg_mini,
 )
 from spikeprune.optim import loss_ce_l1
+from spikeprune.structured import criticality_over_dataset
 from spikeprune.unstructured import SparsitySchedule, prune_loop
 from spikeprune.verify import _randomize_bn, check_prefix_once
 
@@ -230,6 +234,128 @@ class TestInferenceTiles:
             else:
                 net.backward(np.ones((n, 3)))
                 assert net.grad.any()
+
+
+class TestInferenceThreads:
+    """An inference forward shares its tiles among worker threads."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Records every worker thread a forward starts."""
+        threads = []
+
+        class Recording(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(network.threading, "Thread", Recording)
+        return threads
+
+    @staticmethod
+    def force(monkeypatch, threads):
+        monkeypatch.setattr(network, "inference_threads", lambda tiles: threads)
+
+    @pytest.mark.parametrize("channels", [(12, 24), (64, 128)])
+    def test_thread_count_changes_no_result(self, monkeypatch, started, channels):
+        """Logits, features and the data-set criticality table are bit-identical
+        on 1, 2 and 3 threads, with a ragged last tile."""
+        net, rng = _eval_net(channels, seed=31)
+        x = 2.0 * rng.normal(size=(7 * net.tile + 3, 1, 8, 8))
+        results = []
+        for threads in (1, 2, 3):
+            self.force(monkeypatch, threads)
+            logits = net.forward(x, training=False)
+            scores = criticality_over_dataset(net, x, 3 * net.tile // 2 + 1)
+            results.append((logits, extract_features(net, x), scores))
+        assert len(started) == 3 * (1 + 2)
+        for logits, features, scores in results[1:]:
+            np.testing.assert_array_equal(logits, results[0][0])
+            np.testing.assert_array_equal(features, results[0][1])
+            assert sorted(scores) == sorted(results[0][2])
+            for key, got in scores.items():
+                np.testing.assert_array_equal(got, results[0][2][key])
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch, started):
+        """Eight threads with a 1 us switch interval: every tile runs once and
+        its rows equal the serial forward's."""
+        net, rng = _eval_net((4, 8), seed=36)
+        x = rng.normal(size=(11 * net.tile + 5, 1, 8, 8))
+        serial = net.forward(x, training=False)
+        self.force(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                ran = []
+                logits = net.forward(x, training=False,
+                                     on_tile=lambda rows, states: ran.append(rows.start))
+                np.testing.assert_array_equal(logits, serial)
+                assert sorted(ran) == list(range(0, len(x), net.tile))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == 3 * 7 and not any(t.is_alive() for t in started)
+
+    def test_caller_runs_the_last_tile(self, monkeypatch):
+        """The network's own caches hold the last tile, as after a serial forward."""
+        net, rng = _eval_net((4, 8), seed=32)
+        self.force(monkeypatch, 2)
+        x = rng.normal(size=(3 * net.tile + 1, 1, 8, 8))
+        net.forward(x, training=False)
+        last = [net.layers[i].state.h for i in net.lif_indices()]
+        net.forward(x[-1:], training=False)
+        for i, h in zip(net.lif_indices(), last):
+            np.testing.assert_array_equal(h, net.layers[i].state.h)
+
+    def test_thread_count_rule(self, monkeypatch):
+        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0, 1})
+        m = network.MIN_TILES_PER_THREAD
+        assert [network.inference_threads(n) for n in (1, m, 2 * m - 1, 2 * m, 10 * m)] == \
+            [1, 1, 1, 2, 2]
+        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0})
+        assert network.inference_threads(10 * m) == 1
+
+    def test_below_the_thread_minimum_starts_no_worker(self, monkeypatch, started):
+        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0, 1})
+        net, rng = _eval_net((4, 8), seed=33)
+        tiles = 2 * network.MIN_TILES_PER_THREAD
+        net.forward(rng.normal(size=((tiles - 1) * net.tile, 1, 8, 8)), training=False)
+        net.forward(rng.normal(size=(tiles * net.tile, 1, 8, 8)), training=True)
+        assert started == []
+        net.forward(rng.normal(size=(tiles * net.tile, 1, 8, 8)), training=False)
+        assert len(started) == 1
+
+    def test_non_finite_input_in_a_worker_tile(self, monkeypatch, started):
+        """Every tile but the caller's last holds a NaN, so the worker meets
+        one too: the error is the serial path's."""
+        net, rng = _eval_net((4, 8), seed=34)
+        x = rng.normal(size=(4 * net.tile, 1, 8, 8))
+        x[:-net.tile:net.tile, 0, 2, 2] = np.nan
+        errors = []
+        for threads in (1, 2):
+            self.force(monkeypatch, threads)
+            with pytest.raises(NumericError) as info:
+                net.forward(x, training=False)
+            errors.append(str(info.value))
+        assert len(started) == 1 and errors[0] == errors[1]
+        assert not started[0].is_alive()
+
+    def test_earliest_failing_tile_is_raised_after_every_thread(self, monkeypatch, started):
+        """Each of three threads fails on the first tile it takes; the error
+        of tile 0 is raised, after all three have stopped."""
+        net, rng = _eval_net((4, 8), seed=35)
+        self.force(monkeypatch, 3)
+        done = []
+
+        def on_tile(rows, states):
+            done.append(rows.start)
+            raise ValueError(f"tile at {rows.start}")
+
+        with pytest.raises(ValueError, match="tile at 0$"):
+            net.forward(rng.normal(size=(6 * net.tile, 1, 8, 8)), training=False,
+                        on_tile=on_tile)
+        assert sorted(done) == [0, net.tile, 2 * net.tile]
+        assert not any(t.is_alive() for t in started)
 
 
 class TestFlattenOrder:
