@@ -46,7 +46,7 @@ from .train import (
     save_run_state,
     write_csv,
 )
-from .unstructured import SparsitySchedule, prune_loop, sparsity
+from .unstructured import SparsitySchedule, extend_sparsity, prune_loop, round_half_up, sparsity
 
 PACKAGE_ERRORS = (ConfigError, ValueError, RuntimeError, ArithmeticError, OSError)
 # glibc mallopt parameters, and the cap of glibc's own adaptive mmap threshold
@@ -97,8 +97,6 @@ def _load_cfg(args) -> ExperimentConfig:
 
 
 def _make_spec(cfg: ExperimentConfig):
-    if cfg.arch != "vgg_mini":
-        raise ConfigError(f"key 'arch': unknown architecture {cfg.arch!r}")
     lif = LIFParams(tau=cfg.tau, v_threshold=cfg.v_threshold, v_reset=cfg.v_reset)
     return vgg_mini(input_shape=cfg.image, channels=cfg.channels, classes=cfg.classes,
                     kernel=cfg.kernel, pool=cfg.pool, t_steps=cfg.T, lif=lif)
@@ -142,13 +140,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _unstructured_schedule(cfg: ExperimentConfig, steps_per_epoch: int) -> SparsitySchedule:
+def _unstructured_schedule(cfg: ExperimentConfig, steps_per_epoch: int, prunable: int,
+                           gmp_only: bool) -> SparsitySchedule:
     budget = cfg.N_p * steps_per_epoch
     t_f = (budget // cfg.delta_t) * cfg.delta_t
     if t_f == 0:
-        raise ConfigError(
-            f"key 'delta_t': {cfg.delta_t} exceeds the pruning budget of {budget} steps"
-        )
+        raise ConfigError(f"key 'delta_t': {cfg.delta_t} exceeds the pruning budget of {budget} "
+                          f"steps (key 'N_p' epochs of key 'train_samples' / key 'batch_size')")
+    r = 0.0 if gmp_only else cfg.regen_ratio("unstructured")
+    if round_half_up((1.0 - extend_sparsity(cfg.s_f, r)) * prunable) < 1:   # the last event
+        raise ConfigError(f"key 's_f': {cfg.s_f} with key 'r' = {r} leaves none of the "
+                          f"{prunable} prunable weights")
     return SparsitySchedule(s_f=cfg.s_f, delta_t=cfg.delta_t, t_f=t_f,
                             r=cfg.regen_ratio("unstructured"))
 
@@ -178,7 +180,7 @@ def cmd_prune_unstructured(args) -> int:
             write_csv(os.path.join(out, "pretrain_log.csv"), EPOCH_HEADER, rows)
 
     trainer = Trainer(net, data, _train_cfg(cfg, cfg.N_p + cfg.N_f, "unstructured"), rng)
-    sched = _unstructured_schedule(cfg, trainer.steps_per_epoch)
+    sched = _unstructured_schedule(cfg, trainer.steps_per_epoch, net.n_prunable, args.gmp_only)
     res = prune_loop(net, trainer, sched, epochs=cfg.N_p + cfg.N_f,
                      aggregation=cfg.aggregation, gmp_only=args.gmp_only)
 
@@ -187,10 +189,8 @@ def cmd_prune_unstructured(args) -> int:
               [(e.iteration, e.step, e.s_t, e.s_prime, e.k, e.rescue_fraction,
                 e.train_acc) for e in res.events])
 
-    hist_arrays = {}
-    for i, (post_prune, post_regen) in enumerate(res.mask_history, start=1):
-        hist_arrays[f"it{i:04d}.post_prune"] = post_prune
-        hist_arrays[f"it{i:04d}.post_regen"] = post_regen
+    hist_arrays = {f"it{i:04d}.{name}": m for i, pair in enumerate(res.mask_history, start=1)
+                   for name, m in zip(("post_prune", "post_regen"), pair)}
     checkpoint.save(os.path.join(out, "mask_history.ckpt"), hist_arrays,
                     {"iterations": len(res.mask_history), "total": res.mask.size})
 
@@ -215,8 +215,7 @@ def cmd_prune_structured(args) -> int:
     rng, data, net = _fresh_run(cfg)
 
     def make_trainer(network, epochs):
-        return Trainer(network, data,
-                       _train_cfg(cfg, epochs, "structured"), rng)
+        return Trainer(network, data, _train_cfg(cfg, epochs, "structured"), rng)
 
     res = structured_pipeline(
         net, make_trainer, train_epochs=cfg.N_t, finetune_epochs=cfg.N_f,
@@ -287,10 +286,8 @@ def cmd_analyze(args) -> int:
     if args.metric in ("variance", "cosine"):
         train, test, cfg = _banks_from_checkpoint(args.checkpoint)
         if args.metric == "variance":
-            rows = []
-            for cls in range(cfg.classes):
-                rows.append(("train", cls, intra_cluster_variance(train, cls)))
-                rows.append(("test", cls, intra_cluster_variance(test, cls)))
+            rows = [(split, cls, intra_cluster_variance(bank, cls)) for cls in range(cfg.classes)
+                    for split, bank in (("train", train), ("test", test))]
             write_csv(os.path.join(out, "variance.csv"), "split,class,variance", rows)
         else:
             rows = [(cls, class_mean_cosine(train, test, cls))

@@ -120,38 +120,36 @@ class ExperimentConfig:
         return cfg
 
 
-_INT_KEYS = {"seed", "kernel", "pool", "classes", "train_samples", "test_samples",
-             "batch_size", "T", "epochs", "N_p", "N_f", "N_pre", "delta_t",
-             "N_t", "N_1", "N_2"}
-_FLOAT_KEYS = {"separation", "normalize_mean", "normalize_std", "lr", "momentum",
-               "tau", "v_threshold", "v_reset", "wd", "s_f", "r", "s", "percent"}
-_STR_KEYS = {"out", "arch", "dataset", "lr_schedule", "aggregation",
-             "idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels"}
-_TUPLE_KEYS = {"channels", "image"}
+_KINDS = {f.name: f.type for f in fields(ExperimentConfig)}    # "int", "float", "str", "tuple"
+# The admissible values of each bounded number; a tuple key's rule holds for
+# each of its entries. Every interval's upper end is open.
+_RULES = {
+    "seed": ">= 0", "channels": ">= 1", "kernel": ">= 1", "pool": ">= 1", "classes": ">= 2",
+    "train_samples": ">= 0", "test_samples": ">= 0", "image": ">= 1", "separation": ">= 0",
+    "normalize_std": "> 0", "lr": "> 0", "momentum": "in [0, 1)", "batch_size": ">= 1",
+    "T": ">= 1", "tau": ">= 1", "wd": ">= 0", "epochs": ">= 1", "N_p": ">= 1", "N_f": ">= 0",
+    "N_pre": ">= 0", "delta_t": ">= 1", "s_f": "in (0, 1)", "N_t": ">= 1", "N_1": ">= 0",
+    "N_2": ">= 0", "s": ">= 0", "percent": "in [0, 1)",
+}
+_CHOICES = {"arch": ("vgg_mini",), "dataset": ("synthetic", "idx"),
+            "lr_schedule": ("", "cosine", "step"), "aggregation": ("max", "mean")}
 
 
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
+    raw, kind = raw.strip(), _KINDS[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            value = float(raw)
-        elif key in _TUPLE_KEYS:
-            sep = "x" if "x" in raw else ","
-            return tuple(int(p.strip()) for p in raw.split(sep))
-        else:
-            return raw
+        if kind == "tuple":
+            return tuple(int(p) for p in raw.split("x" if "x" in raw else ","))
+        value = {"int": int, "float": float, "str": str}[kind](raw)
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r}") from None
-    if not math.isfinite(value):
+    if kind == "float" and not math.isfinite(value):
         raise ConfigError(f"key {key!r}: must be finite, got {raw!r}")
     return value
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    known = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _TUPLE_KEYS
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -159,7 +157,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in known:
+        if key not in _KINDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         setattr(cfg, key, _parse_value(key, raw))
     _validate(cfg)
@@ -171,34 +169,39 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config_text(f.read())
 
 
+def _admits(rule: str, v) -> bool:
+    op, bound = rule.split(" ", 1)
+    if op != "in":
+        return v > float(bound) if op == ">" else v >= float(bound)
+    lo, hi = (float(b) for b in bound[1:-1].split(","))
+    return (lo < v if bound[0] == "(" else lo <= v) and v < hi
+
+
 def _validate(cfg: ExperimentConfig):
-    if not 0.0 < cfg.s_f < 1.0:
-        raise ConfigError(f"key 's_f': must be in (0, 1), got {cfg.s_f}")
-    for key in ("epochs", "N_p", "N_t"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"key {key!r}: must be >= 1, got {getattr(cfg, key)}")
-    for key in ("N_f", "N_pre"):
-        if getattr(cfg, key) < 0:
-            raise ConfigError(f"key {key!r}: must be >= 0, got {getattr(cfg, key)}")
+    for key, rule in _RULES.items():
+        value = getattr(cfg, key)
+        if not all(_admits(rule, v) for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"key {key!r}: must be {rule}, got {value}")
+    for key, choices in _CHOICES.items():
+        if getattr(cfg, key) not in choices:
+            raise ConfigError(f"key {key!r}: must be one of {', '.join(map(repr, choices))}, "
+                              f"got {getattr(cfg, key)!r}")
     if cfg.r >= 0 and not cfg.r < 1.0:
         raise ConfigError(f"key 'r': must be in [0, 1), got {cfg.r}")
-    if cfg.s < 0:
-        raise ConfigError(f"key 's': must be >= 0, got {cfg.s}")
-    if not 0.0 <= cfg.percent < 1.0:
-        raise ConfigError(f"key 'percent': must be in [0, 1), got {cfg.percent}")
-    if cfg.delta_t <= 0:
-        raise ConfigError(f"key 'delta_t': must be positive, got {cfg.delta_t}")
-    if cfg.batch_size <= 0:
-        raise ConfigError(f"key 'batch_size': must be positive, got {cfg.batch_size}")
-    if cfg.T < 1:
-        raise ConfigError(f"key 'T': must be >= 1, got {cfg.T}")
-    if cfg.tau < 1.0:
-        raise ConfigError(f"key 'tau': must be >= 1, got {cfg.tau}")
-    if cfg.aggregation not in ("max", "mean"):
-        raise ConfigError(f"key 'aggregation': must be max or mean, got {cfg.aggregation!r}")
-    if cfg.lr_schedule not in ("", "cosine", "step"):
-        raise ConfigError(f"key 'lr_schedule': must be cosine or step, got {cfg.lr_schedule!r}")
-    if not cfg.normalize_std > 0:
-        raise ConfigError(f"key 'normalize_std': must be > 0, got {cfg.normalize_std}")
-    if cfg.dataset not in ("synthetic", "idx"):
-        raise ConfigError(f"key 'dataset': must be synthetic or idx, got {cfg.dataset!r}")
+    if not cfg.v_threshold > cfg.v_reset:
+        raise ConfigError(f"key 'v_threshold': must exceed key 'v_reset' ({cfg.v_reset}), "
+                          f"got {cfg.v_threshold}")
+    if cfg.kernel % 2 == 0:
+        raise ConfigError(f"key 'kernel': must be odd, so that padding kernel // 2 keeps "
+                          f"the image size, got {cfg.kernel}")
+    if len(cfg.image) != 3:
+        raise ConfigError(f"key 'image': must be CxHxW, got {cfg.image}")
+    side = cfg.pool ** len(cfg.channels)    # each channels entry adds one pool stage
+    if min(cfg.image[1:]) < side:
+        raise ConfigError(f"key 'image': {len(cfg.channels)} stages (key 'channels') of "
+                          f"key 'pool' = {cfg.pool} need height and width >= {side}, "
+                          f"got {cfg.image}")
+    if cfg.dataset == "synthetic" and not (cfg.train_samples >= cfg.classes and cfg.test_samples):
+        raise ConfigError(f"key 'train_samples' = {cfg.train_samples}, key 'test_samples' = "
+                          f"{cfg.test_samples}: a synthetic set needs one training sample per "
+                          f"class (key 'classes' = {cfg.classes}) and one test sample")

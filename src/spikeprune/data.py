@@ -35,10 +35,6 @@ class Dataset:
     x_test: np.ndarray
     y_test: np.ndarray
 
-    @property
-    def classes(self) -> int:
-        return int(self.y_train.max()) + 1
-
 
 def _balanced_labels(n: int, classes: int) -> np.ndarray:
     counts = [n // classes + (1 if c < n % classes else 0) for c in range(classes)]
@@ -106,7 +102,11 @@ def load_idx(path: str) -> np.ndarray:
 def load_idx_dataset(spec: DatasetSpec) -> Dataset:
     def prep(images_path, labels_path, limit):
         x = load_idx(images_path)
-        y = load_idx(labels_path).astype(np.int64)
+        y = load_idx(labels_path)
+        bad = y[~np.isin(y, np.arange(spec.classes))]
+        if bad.size:
+            raise ArgumentError(f"{labels_path}: label {bad[0]:g} is not an integer in "
+                                f"[0, {spec.classes}) (key 'classes')")
         if x.shape[0] != y.shape[0]:
             raise ArgumentError(f"{images_path} holds {x.shape[0]} images but "
                                 f"{labels_path} holds {y.shape[0]} labels")
@@ -115,7 +115,7 @@ def load_idx_dataset(spec: DatasetSpec) -> Dataset:
         x = (x / 255.0 - spec.normalize_mean) / spec.normalize_std
         if limit:
             x, y = x[:limit], y[:limit]
-        return x, y
+        return x, y.astype(np.int64)
 
     x_train, y_train = prep(spec.idx_train_images, spec.idx_train_labels, spec.train_samples)
     x_test, y_test = prep(spec.idx_test_images, spec.idx_test_labels, spec.test_samples)

@@ -75,6 +75,11 @@ def lif_step(weighted_input: np.ndarray, prev_u: np.ndarray, params: LIFParams,
         raise NumericError("lif_step received non-finite input")
     if x.shape != np.shape(prev_u):
         raise DimensionError(f"input shape {x.shape} != membrane shape {np.shape(prev_u)}")
+    return _lif_update(x, prev_u, params, h, s, relaxed)
+
+
+def _lif_update(x, prev_u, params, h, s, relaxed):
+    """lif_step's update on a finite x shaped like prev_u, unchecked."""
     np.subtract(x, prev_u, out=h)
     h /= params.tau
     h += prev_u
@@ -350,7 +355,9 @@ class LIF(Layer):
         st = LIFState(np.empty(xs.shape), np.empty(xs.shape), p.v_threshold)
         u = np.full(xs.shape[1:], p.v_reset)
         for t in range(xs.shape[0]):
-            u = lif_step(xs[t], u, p, st.h[t], st.s[t], relaxed=self.relaxed)
+            # A time-broadcast input (T-stride 0) needs its finiteness checked once.
+            step = lif_step if t == 0 or xs.strides[0] else _lif_update
+            u = step(xs[t], u, p, st.h[t], st.s[t], self.relaxed)
         self.state = st
         return st.s
 

@@ -37,6 +37,7 @@ from .layers import (
     LIFParams,
     Linear,
 )
+from .ops import conv_out_hw
 
 WEIGHTED_KINDS = ("conv", "linear")
 # An inference forward runs the whole layer stack on one tile of samples before
@@ -138,8 +139,7 @@ def trace_shapes(spec: NetworkSpec) -> list:
         if ls.kind == "conv":
             if len(shape) != 3 or shape[0] != ls.in_channels:
                 raise DimensionError(f"layer {i}: conv expects [{ls.in_channels},H,W], got {shape}")
-            h = (shape[1] + 2 * ls.padding - ls.kernel) // ls.stride + 1
-            w = (shape[2] + 2 * ls.padding - ls.kernel) // ls.stride + 1
+            h, w = conv_out_hw(shape[1], shape[2], ls.kernel, ls.kernel, ls.stride, ls.padding)
             if h <= 0 or w <= 0:
                 raise DimensionError(f"layer {i}: conv output collapses to {h}x{w}")
             shape = (ls.out_channels, h, w)
@@ -149,8 +149,7 @@ def trace_shapes(spec: NetworkSpec) -> list:
         elif ls.kind == "avgpool":
             if len(shape) != 3:
                 raise DimensionError(f"layer {i}: avgpool needs a spatial input, got {shape}")
-            h = (shape[1] - ls.window) // ls.stride + 1
-            w = (shape[2] - ls.window) // ls.stride + 1
+            h, w = conv_out_hw(shape[1], shape[2], ls.window, ls.window, ls.stride, 0)
             if h <= 0 or w <= 0:
                 raise DimensionError(f"layer {i}: pool output collapses to {h}x{w}")
             shape = (shape[0], h, w)

@@ -3,9 +3,10 @@
 Tensors are plain ``numpy.ndarray`` objects in float64, row-major. Images are
 channels-last, [N, H, W, C]; conv weights stay [Cout, Cin, kh, kw]. Convolution
 uses the cross-correlation convention (no kernel flip) and is lowered to a
-patch matrix (im2col) [N*oh*ow, kh*kw*Cin] followed by a single matrix
-product, so the accumulation order is the fixed reduction over the kh*kw*Cin
-axis; the weight gradient is one more product with the same patch matrix.
+patch matrix (im2col) [N*oh*ow, kh*kw*Cin], one contiguous copy of a strided
+window view of the input, followed by a single matrix product, so the
+accumulation order is the fixed reduction over the kh*kw*Cin axis; the
+weight gradient is one more product with the same patch matrix.
 Pooling and the scatter half of the convolution backward iterate window
 offsets in a fixed (i, j) order. All kernels are pure functions: identical
 inputs give bit-identical outputs.
@@ -63,29 +64,22 @@ def conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
     return oh, ow
 
 
-def _pad(x: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-
-
 def _patches(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """Patch matrix [N*oh*ow, kh*kw*Cin] of x [N, H, W, Cin]: row (n, r, c) holds
     the window under output position (r, c), with K in (kh, kw, Cin) order.
 
-    A window row (kw positions x Cin) is one contiguous run of the padded
-    input, so the matrix is filled by kh copies of such runs.
+    The windows are a strided view of x, or of a zero-bordered copy of it
+    when padding > 0, ordered [N, oh, ow, kh, kw, Cin]; one contiguous copy
+    of that view is the matrix.
     """
     n, h, w, cin = x.shape
-    oh, ow = conv_out_hw(h, w, kh, kw, stride, padding)
-    xp = _pad(x, padding)
-    rows = xp.reshape(n, xp.shape[1], -1)               # [N, Hp, Wp*Cin]
-    runs = np.lib.stride_tricks.sliding_window_view(rows, kw * cin, axis=2)
-    runs = runs[:, :, :stride * cin * ow:stride * cin]  # [N, Hp, ow, kw*Cin]
-    patches = np.empty((n, oh, ow, kh, kw * cin))
-    for i in range(kh):
-        patches[:, :, :, i] = runs[:, i:i + stride * oh:stride]
-    return patches.reshape(n * oh * ow, kh * kw * cin)
+    if padding:
+        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, cin))
+        xp[:, padding:padding + h, padding:padding + w] = x
+        x = xp
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    return np.ascontiguousarray(win).reshape(-1, kh * kw * cin)
 
 
 def conv2d(x: np.ndarray, weight: np.ndarray, stride: int = 1, padding: int = 0):

@@ -1,15 +1,20 @@
 """Subcommand surface: artifacts, determinism, resume audit, error lines."""
 
+import contextlib
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import save_v1
 import spikeprune
@@ -400,6 +405,18 @@ class TestErrors:
         err = self._one_error_line(self._idx_run(tmp_path, images, labels), capsys)
         assert "train_images.idx" in err and "train_labels.idx" in err
 
+    @pytest.mark.parametrize("code, labels", [(0x08, np.array([0, 1, 7, 2, 0], np.uint8)),
+                                              (0x09, np.array([0, 1, -1, 2, 0], np.int8)),
+                                              (0x0D, np.array([0, 1, 1.5, 2, 0], ">f4"))],
+                             ids=["uint8_7", "int8_minus_1", "float_1.5"])
+    def test_idx_label_outside_classes(self, tmp_path, capsys, code, labels):
+        """A label that is not an integer in [0, classes) is refused, naming the
+        label file, before it can index the loss or train as another class."""
+        images = bytes([0, 0, 0x08, 3]) + struct.pack(">3I", 5, 8, 8) + bytes(5 * 64)
+        blob = bytes([0, 0, code, 1]) + struct.pack(">I", 5) + labels.tobytes()
+        err = self._one_error_line(self._idx_run(tmp_path, images, blob), capsys)
+        assert "train_labels.idx" in err and "[0, 3)" in err
+
     def test_nonpositive_normalize_std(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("normalize_std = 0\n")
@@ -423,6 +440,16 @@ class TestErrors:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "delta_t" in capsys.readouterr().err
+
+    def test_final_sparsity_leaving_no_weight_names_s_f(self, tmp_path, capsys):
+        """s_f = 0.992 leaves round(0.864) = 1 of TINY's 108 prunable weights
+        under GMP, but the last event's regeneration target (r = 0.5) none."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TINY.replace("s_f = 0.9", "s_f = 0.992") + "r = 0.5\n")
+        argv = ["prune-unstructured", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        err = self._one_error_line(argv, capsys)
+        assert "key 's_f'" in err and "none of the 108 prunable weights" in err
+        assert main(argv + ["--gmp-only"]) == 0
 
     def test_survival_zeros_on_r0_run(self, tiny_cfg):
         cfg, root = tiny_cfg
@@ -481,3 +508,51 @@ class TestAllocatorThresholds:
 
         monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
         assert cli.fix_allocator_thresholds() is None
+
+
+# One-epoch toy base for single-key edits: (its value, a boundary value) per key.
+GRAMMAR_BASE = {
+    "seed": ("5", "0"), "channels": ("2, 3", "1, 1"), "kernel": ("3", "1"), "pool": ("2", "1"),
+    "classes": ("3", "2"), "train_samples": ("24", "3"), "test_samples": ("12", "1"),
+    "image": ("1x8x8", "1x4x4"), "separation": ("4.0", "0"), "normalize_mean": ("0", "-3"),
+    "normalize_std": ("1", "1e-9"), "lr": ("0.1", "1e-12"), "momentum": ("0.9", "0"),
+    "batch_size": ("8", "1"), "T": ("3", "1"), "tau": ("1.5", "1"),
+    "v_threshold": ("1.0", "1e-9"), "v_reset": ("0.0", "-5"), "wd": ("5e-4", "0"),
+    "epochs": ("1", "1"), "N_p": ("1", "1"), "N_f": ("1", "0"), "N_pre": ("0", "0"),
+    "delta_t": ("2", "1"), "s_f": ("0.5", "0.999"), "r": ("0.5", "0"), "N_t": ("1", "1"),
+    "N_1": ("1", "0"), "N_2": ("1", "0"), "s": ("1e-4", "0"), "percent": ("0.5", "0"),
+}
+WRONG_ARITY = {"channels": "", "image": "1x8x8x8"}
+
+
+@st.composite
+def single_key_edits(draw):
+    key = draw(st.sampled_from(sorted(GRAMMAR_BASE)))
+    valid, boundary = GRAMMAR_BASE[key]
+    value = draw(st.sampled_from([valid, boundary, "0", "-1", "nan", "inf",
+                                  WRONG_ARITY.get(key, "1, 2")]))
+    command = draw(st.sampled_from(["train", "prune-unstructured", "prune-structured"]))
+    return key, value, command
+
+
+class TestConfigGrammar:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(single_key_edits())
+    def test_single_key_edit_runs_or_names_its_key(self, edit):
+        """Every edit either runs to exit 0, or exits 2 with one error line
+        that names the edited key, whether validation or the run refuses it."""
+        key, value, command = edit
+        text = "".join(f"{k} = {v if k != key else value}\n"
+                       for k, (v, _) in GRAMMAR_BASE.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "c.cfg"
+            cfg.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == [], (key, value, command, lines)
+        else:
+            assert rc == 2 and len(lines) == 1 and lines[0].startswith("error:"), lines
+            assert f"key '{key}'" in lines[0], (key, value, command, lines)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spikeprune.config import (
-    _FLOAT_KEYS,
+    _KINDS,
     ExperimentConfig,
     default_regen_ratio,
     parse_config_text,
@@ -75,13 +75,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="aggregation"):
             parse_config_text("aggregation = median\n")
 
-    @pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+    @pytest.mark.parametrize("key", sorted(k for k, kind in _KINDS.items() if kind == "float"))
     def test_non_finite_float_names_key(self, key):
         """nan and inf are refused at parse time, before any default or range
         check could let them through."""
         for raw in ("nan", "inf", "-inf", "NaN"):
             with pytest.raises(ConfigError, match=f"key '{key}': must be finite"):
                 parse_config_text(f"{key} = {raw}\n")
+
+    @pytest.mark.parametrize("line", ["channels = 0", "channels = 4, 0", "kernel = 0",
+                                      "kernel = 2", "pool = 0", "pool = 3", "image = 1x8",
+                                      "image = 1x8x8x8", "image = 1x0x8", "seed = -1",
+                                      "wd = -1", "lr = 0", "momentum = 1", "classes = 1",
+                                      "train_samples = 2", "test_samples = 0",
+                                      "v_reset = 1", "arch = resnet"])
+    def test_out_of_range_names_key(self, line):
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            parse_config_text(line + "\n")
 
     def test_roundtrip_dict(self):
         cfg = parse_config_text("seed = 5\nchannels = 2,3\n")

@@ -127,6 +127,29 @@ class TestLIFLayer:
             st_.gprime, surrogate_gprime(st_.h - params.v_threshold)
         )
 
+    def test_nan_at_one_later_timestep_raises(self):
+        xs = np.zeros((5, 2, 3))
+        xs[3, 1, 2] = np.nan
+        with pytest.raises(NumericError):
+            LIF(LIFParams()).forward(xs, training=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_time_broadcast_input_raises(self, bad):
+        x = np.zeros((1, 2, 3))
+        x[0, 0, 1] = bad
+        xs = np.broadcast_to(x, (5, 2, 3))
+        assert xs.strides[0] == 0
+        with pytest.raises(NumericError):
+            LIF(LIFParams()).forward(xs, training=True)
+
+    def test_time_broadcast_input_matches_a_copy(self):
+        x = np.random.default_rng(3).normal(0, 2, size=(1, 4, 3))
+        a, b = LIF(LIFParams()), LIF(LIFParams())
+        broadcast = a.forward(np.broadcast_to(x, (5, 4, 3)), training=True)
+        copied = b.forward(np.repeat(x, 5, axis=0), training=True)
+        np.testing.assert_array_equal(broadcast, copied)
+        np.testing.assert_array_equal(a.state.h, b.state.h)
+
     def test_relaxed_toggle_preserves_nothing_but_fire(self):
         params = LIFParams(TAU, 1.0, 0.0)
         _, spiking = self._run([TAU], params, relaxed=False)

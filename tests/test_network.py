@@ -149,6 +149,21 @@ def _eval_net(channels, seed):
     return net, rng
 
 
+class TestNonFiniteFirstLIFInput:
+    """The first LIF's input is the once-run prefix broadcast over T (T-stride
+    0), whose finiteness is checked once: a NaN or inf there still raises."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("training, tiles", [(True, 1), (False, 1), (False, 3)])
+    def test_raises(self, bad, training, tiles):
+        net, rng = _eval_net((4, 8), seed=36)
+        x = rng.normal(size=(tiles * net.tile, 1, 8, 8))
+        x[-1, 0, 3, 3] = bad
+        with pytest.raises(NumericError):
+            net.forward(x, training=training)
+
+
 class TestInferenceTiles:
     def test_tile_rule(self):
         """The largest power of two whose biggest [T, tile, ...] activation

@@ -262,6 +262,48 @@ class TestConvDirectLoops:
         np.testing.assert_array_equal(gx_c, gx)
 
 
+def patches_loop(x, kh, kw, stride, padding):
+    """The patch matrix built one window at a time from a zero-padded copy."""
+    n, h, w, cin = x.shape
+    xp = np.zeros((n, h + 2 * padding, w + 2 * padding, cin))
+    xp[:, padding:padding + h, padding:padding + w] = x
+    oh, ow = ops.conv_out_hw(h, w, kh, kw, stride, padding)
+    out = np.empty((n, oh, ow, kh, kw, cin))
+    for r in range(oh):
+        for c in range(ow):
+            out[:, r, c] = xp[:, r * stride:r * stride + kh, c * stride:c * stride + kw]
+    return out.reshape(n * oh * ow, kh * kw * cin)
+
+
+class TestPatches:
+    """The patch matrix is a copy, so it equals the loop-built one bit for bit."""
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("cin", [1, 3, 12])
+    def test_equals_loop(self, kernel, stride, padding, cin):
+        x = np.random.default_rng(kernel * 100 + cin).normal(size=(2, 7, 6, cin))
+        got = ops._patches(x, kernel, kernel, stride, padding)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, patches_loop(x, kernel, kernel, stride, padding))
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_non_contiguous_input(self, padding):
+        x = np.random.default_rng(17).normal(size=(3, 5, 7, 2)).transpose(0, 2, 1, 3)
+        assert not x.flags.c_contiguous
+        assert np.array_equal(ops._patches(x, 3, 2, 2, padding),
+                              patches_loop(x, 3, 2, 2, padding))
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_kernel_as_large_as_padded_input(self, padding):
+        x = np.random.default_rng(18).normal(size=(2, 4, 5, 3))
+        kh, kw = 4 + 2 * padding, 5 + 2 * padding
+        got = ops._patches(x, kh, kw, 1, padding)
+        assert got.shape == (2, kh * kw * 3)
+        assert np.array_equal(got, patches_loop(x, kh, kw, 1, padding))
+
+
 class TestDeterminism:
     def test_repeated_calls_bit_identical(self):
         rng = np.random.default_rng(13)
