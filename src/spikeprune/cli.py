@@ -28,7 +28,7 @@ from .analysis import (
     replay_mask_history,
     survival_report,
 )
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, validate
 from .criticality import scores_to_rows
 from .data import load_dataset
 from .errors import ConfigError
@@ -93,6 +93,7 @@ def _load_cfg(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg.seed = args.seed
+        validate(cfg)
     return cfg
 
 

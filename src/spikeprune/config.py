@@ -160,7 +160,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key not in _KINDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         setattr(cfg, key, _parse_value(key, raw))
-    _validate(cfg)
+    validate(cfg)
     return cfg
 
 
@@ -177,7 +177,8 @@ def _admits(rule: str, v) -> bool:
     return (lo < v if bound[0] == "(" else lo <= v) and v < hi
 
 
-def _validate(cfg: ExperimentConfig):
+def validate(cfg: ExperimentConfig):
+    """Raise ConfigError, naming the key, for the first value that breaks a rule."""
     for key, rule in _RULES.items():
         value = getattr(cfg, key)
         if not all(_admits(rule, v) for v in (value if isinstance(value, tuple) else (value,))):

@@ -16,6 +16,7 @@ LIF layer (conv layers through a batch-norm).
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import copy
 import itertools
@@ -42,12 +43,12 @@ from .ops import conv_out_hw
 WEIGHTED_KINDS = ("conv", "linear")
 # An inference forward runs the whole layer stack on one tile of samples before
 # starting the next, so that a tile's transients stay near cache size: its
-# biggest activation gets about half of a 2 MiB per-core L2.
+# biggest activation gets about half of a 2 MiB per-core L2. The tiles are
+# shared among threads, one per core, each pinned to its own core: a new or
+# just-woken thread starts on its caller's core and the kernel takes
+# milliseconds to move it, so unpinned, a short forward ran its threads one
+# after the other.
 TILE_BYTES = 1 << 20
-# An inference forward shares its tiles among threads, one per core, only if
-# each gets at least this many: a short two-thread burst runs no faster than
-# one thread on a core that has just gone idle.
-MIN_TILES_PER_THREAD = 16
 # Arena position of each parameter name: weights, then biases, then BN affine.
 _ARENA_RANK = {"weight": 0, "bias": 1, "gamma": 2, "beta": 2}
 
@@ -176,8 +177,8 @@ def inference_tile(spec: NetworkSpec) -> int:
 
 def inference_threads(tiles: int) -> int:
     """Threads an inference forward of `tiles` tiles runs on: one per core the
-    process may run on, with at least MIN_TILES_PER_THREAD tiles each."""
-    return max(min(len(os.sched_getaffinity(0)), tiles // MIN_TILES_PER_THREAD), 1)
+    process may run on, but no more than there are tiles."""
+    return max(min(len(os.sched_getaffinity(0)), tiles), 1)
 
 
 def validate_spec(spec: NetworkSpec):
@@ -393,10 +394,13 @@ class SpikingNetwork:
         Inference runs on inference_threads threads. Each takes the next
         tile not yet taken, so a thread slowed by a busy core takes fewer;
         workers run shallow layer copies, which share the parameter arrays,
-        and the caller runs `layers` and keeps the last tile for itself. It
-        waits for every thread before it returns or raises the error of the
-        earliest tile that failed. A tile writes only its own rows, so no
-        result depends on the number of threads or on who ran which tile.
+        and the caller runs `layers` and keeps the last tile for itself. On
+        two or more threads, thread k (the caller is 0) is pinned to core
+        k mod cores of the caller's affinity mask, which is restored at the
+        end; where the host refuses, the threads run unpinned. It waits for
+        every thread before it returns or raises the error of the earliest
+        tile that failed. A tile writes only its own rows, so no result
+        depends on the number of threads or on who ran which tile.
         """
         t = self.spec.t_steps
         x = self._checked_input(x)
@@ -413,12 +417,17 @@ class SpikingNetwork:
         lock = threading.Lock()
         errors = {}                     # tile start -> the error it raised
         lifs = self.lif_indices()
+        threads = 1 if training else inference_threads(len(starts))
+        cpus = sorted(os.sched_getaffinity(0)) if threads > 1 else []    # the caller's mask
 
         def take():
             with lock:
                 return next(pending, None)
 
-        def run(layers, last):
+        def run(layers, last, k):
+            if cpus:    # thread k (the caller is 0) on cpus[k mod cores], best effort
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, {cpus[k % len(cpus)]})
             for lo in itertools.chain(iter(take, None), last):
                 rows = slice(lo, lo + step)
                 try:
@@ -436,15 +445,19 @@ class SpikingNetwork:
                     errors[lo] = exc
                     return
 
-        threads = 1 if training else inference_threads(len(starts))
         workers = [threading.Thread(target=contextvars.copy_context().run,
-                                    args=(run, [copy.copy(l) for l in self.layers], ()))
-                   for _ in range(threads - 1)]
+                                    args=(run, [copy.copy(l) for l in self.layers], (), k))
+                   for k in range(1, threads)]
         for w in workers:
             w.start()
-        run(self.layers, starts[-1:])
-        for w in workers:
-            w.join()
+        try:
+            run(self.layers, starts[-1:], 0)
+        finally:
+            for w in workers:
+                w.join()
+            if cpus:
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, cpus)
         if errors:
             raise errors[min(errors)]
         self._t_out = t if self._first_lif < len(self.layers) else 1

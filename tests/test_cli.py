@@ -258,6 +258,11 @@ class TestErrors:
         assert rc == 2
         assert "key 's': must be >= 0" in capsys.readouterr().err
 
+    def test_negative_seed_override_names_the_key(self, tmp_path, capsys):
+        rc = main(["train", "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["error: key 'seed': must be >= 0, got -1"]
+
     def test_truncated_checkpoint_every_offset(self, tmp_path, capsys):
         whole = tmp_path / "whole.ckpt"
         checkpoint.save(whole, {"a": np.arange(6.0).reshape(2, 3), "b": np.array(2.5),

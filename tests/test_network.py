@@ -2,6 +2,7 @@
 oracles, relaxed-mode finite differences, and checkpoint round-trips.
 """
 
+import os
 import sys
 import threading
 
@@ -296,6 +297,7 @@ class TestInferenceThreads:
         its rows equal the serial forward's."""
         net, rng = _eval_net((4, 8), seed=36)
         x = rng.normal(size=(11 * net.tile + 5, 1, 8, 8))
+        self.force(monkeypatch, 1)
         serial = net.forward(x, training=False)
         self.force(monkeypatch, 8)
         interval = sys.getswitchinterval()
@@ -312,33 +314,79 @@ class TestInferenceThreads:
         assert len(started) == 3 * 7 and not any(t.is_alive() for t in started)
 
     def test_caller_runs_the_last_tile(self, monkeypatch):
-        """The network's own caches hold the last tile, as after a serial forward."""
+        """The network's own caches hold the last tile, as after a serial
+        forward, and the caller's affinity mask is as before."""
         net, rng = _eval_net((4, 8), seed=32)
         self.force(monkeypatch, 2)
         x = rng.normal(size=(3 * net.tile + 1, 1, 8, 8))
+        mask = os.sched_getaffinity(0)
         net.forward(x, training=False)
+        assert os.sched_getaffinity(0) == mask
         last = [net.layers[i].state.h for i in net.lif_indices()]
         net.forward(x[-1:], training=False)
         for i, h in zip(net.lif_indices(), last):
             np.testing.assert_array_equal(h, net.layers[i].state.h)
 
     def test_thread_count_rule(self, monkeypatch):
+        """One thread per core, but no more threads than tiles."""
         monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0, 1})
-        m = network.MIN_TILES_PER_THREAD
-        assert [network.inference_threads(n) for n in (1, m, 2 * m - 1, 2 * m, 10 * m)] == \
-            [1, 1, 1, 2, 2]
+        assert [network.inference_threads(n) for n in (1, 2, 3, 10, 160)] == [1, 2, 2, 2, 2]
+        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        assert [network.inference_threads(n) for n in (1, 2, 3, 160)] == [1, 2, 3, 3]
         monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0})
-        assert network.inference_threads(10 * m) == 1
+        assert network.inference_threads(160) == 1
 
     def test_below_the_thread_minimum_starts_no_worker(self, monkeypatch, started):
+        """A one-tile eval forward and a training forward start no worker and
+        pin nothing; a two-tile eval forward pins both threads and restores."""
+        pins = []
         monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(network.os, "sched_setaffinity", lambda pid, cpus: pins.append(cpus))
         net, rng = _eval_net((4, 8), seed=33)
-        tiles = 2 * network.MIN_TILES_PER_THREAD
-        net.forward(rng.normal(size=((tiles - 1) * net.tile, 1, 8, 8)), training=False)
-        net.forward(rng.normal(size=(tiles * net.tile, 1, 8, 8)), training=True)
-        assert started == []
-        net.forward(rng.normal(size=(tiles * net.tile, 1, 8, 8)), training=False)
+        net.forward(rng.normal(size=(net.tile, 1, 8, 8)), training=False)
+        net.forward(rng.normal(size=(32 * net.tile, 1, 8, 8)), training=True)
+        assert started == [] and pins == []
+        net.forward(rng.normal(size=(2 * net.tile, 1, 8, 8)), training=False)
         assert len(started) == 1
+        assert sorted(map(sorted, pins[:2])) == [[0], [1]] and sorted(pins[2]) == [0, 1]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two cores")
+    def test_worker_tiles_run_on_another_core(self, monkeypatch):
+        """Each thread sees a one-core mask of its own while it runs its tiles;
+        the caller waits in its first tile until the worker has run one."""
+        net, rng = _eval_net((4, 8), seed=37)
+        self.force(monkeypatch, 2)
+        caller, mask = threading.get_ident(), os.sched_getaffinity(0)
+        seen, worker_ran = {}, threading.Event()
+
+        def on_tile(rows, states):
+            seen.setdefault(threading.get_ident(), set()).add(frozenset(os.sched_getaffinity(0)))
+            if threading.get_ident() == caller:
+                worker_ran.wait(30)
+            else:
+                worker_ran.set()
+
+        net.forward(rng.normal(size=(6 * net.tile, 1, 8, 8)), training=False, on_tile=on_tile)
+        assert worker_ran.is_set() and all(len(got) == 1 for got in seen.values())
+        (worker,) = set(seen) - {caller}
+        (mine,), (theirs,) = seen[caller], seen[worker]
+        assert mine == {min(mask)} and len(theirs) == 1 and theirs != mine and theirs <= mask
+        assert os.sched_getaffinity(0) == mask
+
+    def test_refused_pinning_changes_no_result(self, monkeypatch, started):
+        """Where the host refuses an affinity change, the threads run unpinned."""
+        net, rng = _eval_net((4, 8), seed=38)
+        x = rng.normal(size=(5 * net.tile + 1, 1, 8, 8))
+        self.force(monkeypatch, 2)
+        pinned = net.forward(x, training=False)
+
+        def refuse(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        mask = os.sched_getaffinity(0)
+        monkeypatch.setattr(network.os, "sched_setaffinity", refuse)
+        np.testing.assert_array_equal(net.forward(x, training=False), pinned)
+        assert len(started) == 2 and os.sched_getaffinity(0) == mask
 
     def test_non_finite_input_in_a_worker_tile(self, monkeypatch, started):
         """Every tile but the caller's last holds a NaN, so the worker meets
@@ -346,12 +394,13 @@ class TestInferenceThreads:
         net, rng = _eval_net((4, 8), seed=34)
         x = rng.normal(size=(4 * net.tile, 1, 8, 8))
         x[:-net.tile:net.tile, 0, 2, 2] = np.nan
-        errors = []
+        errors, mask = [], os.sched_getaffinity(0)
         for threads in (1, 2):
             self.force(monkeypatch, threads)
             with pytest.raises(NumericError) as info:
                 net.forward(x, training=False)
             errors.append(str(info.value))
+            assert os.sched_getaffinity(0) == mask
         assert len(started) == 1 and errors[0] == errors[1]
         assert not started[0].is_alive()
 
