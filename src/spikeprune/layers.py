@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import ops
+from . import cores, ops
 from .errors import DimensionError, NumericError, StateError
 
 PI_SQ = np.pi * np.pi
@@ -105,10 +105,16 @@ class LIFState:
     s: np.ndarray
     v_threshold: float
 
+    def derive_gprime(self, out: np.ndarray, lo: int, hi: int):
+        """g'(h - v_threshold) of samples lo:hi at every step, into out."""
+        d = np.subtract(self.h[:, lo:hi], self.v_threshold, out=out[:, lo:hi])
+        surrogate_gprime(d, out=d)
+
     @cached_property
     def gprime(self) -> np.ndarray:
-        d = self.h - self.v_threshold
-        return surrogate_gprime(d, out=d)
+        out = np.empty(self.h.shape)
+        self.derive_gprime(out, 0, self.h.shape[1])
+        return out
 
 
 class Layer:
@@ -248,16 +254,29 @@ class BatchNorm2d(Layer):
             y = x * scale
             y += self.beta - self.running_mean * scale
             return y.reshape(xs.shape)
-        mean = _channel_sum(x) / len(x)
-        xhat = x - mean
-        var = _channel_sum(np.square(xhat)) / len(x)
+        # The channel sums couple the batch and run once over all rows; the
+        # elementwise work between them runs as row halves (cores.halves).
+        m = len(x)
+        mean = _channel_sum(x) / m
+        xhat, y = np.empty_like(x), np.empty_like(x)     # y holds xhat**2 first
+
+        def centre(lo, hi):
+            np.subtract(x[lo:hi], mean, out=xhat[lo:hi])
+            np.square(xhat[lo:hi], out=y[lo:hi])
+
+        cores.halves(centre, m, x.size)
+        var = _channel_sum(y) / m
         self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
         self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat *= inv_std
+
+        def normalize(lo, hi):
+            xhat[lo:hi] *= inv_std
+            np.multiply(self.gamma, xhat[lo:hi], out=y[lo:hi])
+            y[lo:hi] += self.beta
+
+        cores.halves(normalize, m, x.size)
         self._cache = (xhat, inv_std, training)
-        y = self.gamma * xhat
-        y += self.beta
         return y.reshape(xs.shape)
 
     def backward(self, gys):
@@ -267,16 +286,27 @@ class BatchNorm2d(Layer):
         if not training:
             xhat = (xhat - self.running_mean) * inv_std
         gy = gys.reshape(xhat.shape)
-        self.dgamma[...] = _channel_sum(gy * xhat)
-        self.dbeta[...] = _channel_sum(gy)
+        m = len(gy)
+        gx = np.empty_like(xhat)        # holds gy * xhat first
+
+        def dbeta():
+            self.dbeta[...] = _channel_sum(gy)
+
+        cores.halves(lambda lo, hi: np.multiply(gy[lo:hi], xhat[lo:hi], out=gx[lo:hi]), m,
+                     gx.size, also=dbeta)
+        self.dgamma[...] = _channel_sum(gx)
         scale = self.gamma * inv_std
         if not training:
             return (gy * scale).reshape(gys.shape)
+
         # Through the batch mean and variance as well: their gradients are
         # the per-channel sums just taken.
-        gx = gy - self.dbeta / len(gy)
-        gx -= xhat * (self.dgamma / len(gy))
-        gx *= scale
+        def rows(lo, hi):
+            g = np.subtract(gy[lo:hi], self.dbeta / m, out=gx[lo:hi])
+            g -= xhat[lo:hi] * (self.dgamma / m)
+            g *= scale
+
+        cores.halves(rows, m, gx.size)
         return gx.reshape(gys.shape)
 
 
@@ -353,11 +383,16 @@ class LIF(Layer):
         """
         p = self.lif_params
         st = LIFState(np.empty(xs.shape), np.empty(xs.shape), p.v_threshold)
-        u = np.full(xs.shape[1:], p.v_reset)
-        for t in range(xs.shape[0]):
-            # A time-broadcast input (T-stride 0) needs its finiteness checked once.
-            step = lif_step if t == 0 or xs.strides[0] else _lif_update
-            u = step(xs[t], u, p, st.h[t], st.s[t], self.relaxed)
+
+        def samples(lo, hi):
+            x, h, s = xs[:, lo:hi], st.h[:, lo:hi], st.s[:, lo:hi]
+            u = np.full(x.shape[1:], p.v_reset)
+            for t in range(len(x)):
+                # A time-broadcast input (T-stride 0) needs its finiteness checked once.
+                step = lif_step if t == 0 or xs.strides[0] else _lif_update
+                u = step(x[t], u, p, h[t], s[t], self.relaxed)
+
+        cores.halves(samples, xs.shape[1], xs.size)
         self.state = st
         return st.s
 
@@ -368,15 +403,25 @@ class LIF(Layer):
         st = self.state
         leak = 1.0 - 1.0 / p.tau
         gx = np.empty(gys.shape)
-        du = np.zeros(gys.shape[1:])
-        du_dh = np.empty(gys.shape[1:])
-        for t in range(gys.shape[0] - 1, -1, -1):
-            np.subtract(1.0, st.s[t], out=du_dh)
-            if self.relaxed:
-                du_dh += (p.v_reset - st.h[t]) * st.gprime[t]
-            dh = np.multiply(gys[t], st.gprime[t], out=gx[t])
-            du_dh *= du
-            dh += du_dh                 # dh = g_s * g' + du * du/dh
-            np.multiply(dh, leak, out=du)
-            dh /= p.tau
+        derive = "gprime" not in vars(st)   # each range derives its own g' first
+        gp = np.empty(st.h.shape) if derive else st.gprime
+
+        def samples(lo, hi):
+            if derive:
+                st.derive_gprime(gp, lo, hi)
+            h, s, g, d, out = (a[:, lo:hi] for a in (st.h, st.s, gp, gys, gx))
+            du = np.zeros(h.shape[1:])
+            du_dh = np.empty_like(du)
+            for t in range(len(h) - 1, -1, -1):
+                np.subtract(1.0, s[t], out=du_dh)
+                if self.relaxed:
+                    du_dh += (p.v_reset - h[t]) * g[t]
+                dh = np.multiply(d[t], g[t], out=out[t])
+                du_dh *= du
+                dh += du_dh                 # dh = g_s * g' + du * du/dh
+                np.multiply(dh, leak, out=du)
+                dh /= p.tau
+
+        cores.halves(samples, gys.shape[1], gx.size)
+        st.gprime = gp
         return gx

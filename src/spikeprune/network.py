@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cores
 from .errors import DimensionError, StateError
 from .layers import (
     LIF,
@@ -47,7 +48,9 @@ WEIGHTED_KINDS = ("conv", "linear")
 # shared among threads, one per core, each pinned to its own core: a new or
 # just-woken thread starts on its caller's core and the kernel takes
 # milliseconds to move it, so unpinned, a short forward ran its threads one
-# after the other.
+# after the other. A training forward is one tile of the whole batch; its
+# kernels split their rows in halves between the caller and a helper thread
+# instead (spikeprune.cores).
 TILE_BYTES = 1 << 20
 # Arena position of each parameter name: weights, then biases, then BN affine.
 _ARENA_RANK = {"weight": 0, "bias": 1, "gamma": 2, "beta": 2}
@@ -177,7 +180,10 @@ def inference_tile(spec: NetworkSpec) -> int:
 
 def inference_threads(tiles: int) -> int:
     """Threads an inference forward of `tiles` tiles runs on: one per core the
-    process may run on, but no more than there are tiles."""
+    process may run on, but no more than there are tiles; one where
+    OpenBLAS's thread count is out of reach (cores.BLAS)."""
+    if cores.BLAS is None:
+        return 1
     return max(min(len(os.sched_getaffinity(0)), tiles), 1)
 
 
@@ -218,7 +224,10 @@ class SpikingNetwork:
     Single-writer: forward/backward mutate cached state and must not run
     concurrently on one instance. Read-only evaluation of distinct instances
     is independent. An inference forward's worker threads (see forward)
-    finish before it returns, and only read the shared parameters.
+    finish before it returns, and only read the shared parameters. In a
+    training forward or backward, the helper thread (spikeprune.cores)
+    writes only its half's rows of the arrays a kernel allocated, and each
+    kernel waits for it before it returns.
     """
 
     def __init__(self, spec: NetworkSpec, rng: np.random.Generator):
@@ -391,13 +400,21 @@ class SpikingNetwork:
         tile. on_tile(rows, states), if given, is called after each tile with
         the tile's row slice and its LIF states by layer index.
 
-        Inference runs on inference_threads threads. Each takes the next
-        tile not yet taken, so a thread slowed by a busy core takes fewer;
-        workers run shallow layer copies, which share the parameter arrays,
-        and the caller runs `layers` and keeps the last tile for itself. On
-        two or more threads, thread k (the caller is 0) is pinned to core
-        k mod cores of the caller's affinity mask, which is restored at the
-        end; where the host refuses, the threads run unpinned. It waits for
+        A training forward, like backward, runs in a cores.training()
+        region: each per-row kernel of its layers runs as two fixed halves,
+        the caller taking one and the pinned helper thread the other; the
+        kernels that couple the batch, the head, and the loss stay whole on
+        the caller. The halves give the whole-batch results bit for bit.
+
+        Inference runs on inference_threads threads, with OpenBLAS at one
+        thread while there are two or more. Each takes the next tile not yet
+        taken, so a thread slowed by a busy core takes fewer; workers run
+        shallow layer copies, which share the parameter arrays, and the
+        caller runs `layers` and keeps the last tile for itself. Thread k
+        (the caller is 0) is pinned to core k mod cores of the caller's
+        affinity mask; the mask and OpenBLAS's thread count are restored at
+        the end, and where the host refuses the pinning the threads run
+        unpinned. Inference never hands halves to the helper. It waits for
         every thread before it returns or raises the error of the earliest
         tile that failed. A tile writes only its own rows, so no result
         depends on the number of threads or on who ran which tile.
@@ -418,7 +435,6 @@ class SpikingNetwork:
         errors = {}                     # tile start -> the error it raised
         lifs = self.lif_indices()
         threads = 1 if training else inference_threads(len(starts))
-        cpus = sorted(os.sched_getaffinity(0)) if threads > 1 else []    # the caller's mask
 
         def take():
             with lock:
@@ -426,8 +442,7 @@ class SpikingNetwork:
 
         def run(layers, last, k):
             if cpus:    # thread k (the caller is 0) on cpus[k mod cores], best effort
-                with contextlib.suppress(OSError):
-                    os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+                cores.pin(cpus[k % len(cpus)])
             for lo in itertools.chain(iter(take, None), last):
                 rows = slice(lo, lo + step)
                 try:
@@ -448,16 +463,15 @@ class SpikingNetwork:
         workers = [threading.Thread(target=contextvars.copy_context().run,
                                     args=(run, [copy.copy(l) for l in self.layers], (), k))
                    for k in range(1, threads)]
-        for w in workers:
-            w.start()
-        try:
-            run(self.layers, starts[-1:], 0)
-        finally:
+        with (cores.training() if training else
+              cores.second_thread() if workers else contextlib.nullcontext()) as cpus:
             for w in workers:
-                w.join()
-            if cpus:
-                with contextlib.suppress(OSError):
-                    os.sched_setaffinity(0, cpus)
+                w.start()
+            try:
+                run(self.layers, starts[-1:], 0)
+            finally:
+                for w in workers:
+                    w.join()
         if errors:
             raise errors[min(errors)]
         self._t_out = t if self._first_lif < len(self.layers) else 1
@@ -475,8 +489,9 @@ class SpikingNetwork:
             raise StateError("backward before forward")
         self._one_tile("backward")
         g = np.broadcast_to(dlogits / t, (t,) + dlogits.shape)
-        for i in range(len(self.layers) - 1, -1, -1):
-            g = self.layers[i].backward(g)
-            if i == self._first_lif:
-                g = g.sum(axis=0, keepdims=True)
+        with cores.training():
+            for i in range(len(self.layers) - 1, -1, -1):
+                g = self.layers[i].backward(g)
+                if i == self._first_lif:
+                    g = g.sum(axis=0, keepdims=True)
         self._t_out = None

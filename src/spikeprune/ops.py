@@ -10,12 +10,22 @@ weight gradient is one more product with the same patch matrix.
 Pooling and the scatter half of the convolution backward iterate window
 offsets in a fixed (i, j) order. All kernels are pure functions: identical
 inputs give bit-identical outputs.
+
+Each kernel is written over a range of its samples (the input-grad half of
+conv2d_grad over a range of input channels) and runs through cores.halves:
+as two halves inside a training step, else as one range. Every output
+element is computed from the same operands in the same order either way, so
+the halves give the whole range's result bit for bit; a matrix product is
+split only where row_halves says its sums keep.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from . import cores
 from .errors import DimensionError
 
 __all__ = [
@@ -26,7 +36,15 @@ __all__ = [
     "avgpool2d",
     "avgpool2d_grad",
     "conv_out_hw",
+    "row_halves",
 ]
+
+# OpenBLAS runs a product of at most 1e6 multiply-adds (m*k*n) through a
+# small-matrix kernel whose sums differ from its blocked kernel's, and, below
+# 4 output columns, with the row count; past that each output row's sums do
+# not depend on the other rows (scanned on numpy 2.4's scipy-openblas 0.3.31
+# over the conv shapes of 1-128 channels at 1-64 positions per sample).
+SMALL_GEMM = 10**6
 
 
 def _as64(x) -> np.ndarray:
@@ -57,6 +75,17 @@ def matmul_grad(upstream: np.ndarray, a: np.ndarray, b: np.ndarray):
     return upstream @ b.T, a.T @ upstream
 
 
+def row_halves(items: int, rows: int, k: int, n: int) -> bool:
+    """Whether the product of an [items*rows, k] and a [k, n] matrix gives
+    the same sums as two products over halves of its items: only where each
+    half takes the same OpenBLAS kernel as the whole (see SMALL_GEMM). A
+    rule on the shape, never on the cores."""
+    half = items // 2 * rows
+    if half < 2 or n < 4:
+        return False
+    return half * k * n > SMALL_GEMM or items * rows * k * n <= SMALL_GEMM
+
+
 def conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
     """Output spatial extent of a conv/pool window sweep: floor((x+2p-k)/s)+1."""
     oh = (h + 2 * padding - kh) // stride + 1
@@ -64,13 +93,15 @@ def conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
     return oh, ow
 
 
-def _patches(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Patch matrix [N*oh*ow, kh*kw*Cin] of x [N, H, W, Cin]: row (n, r, c) holds
-    the window under output position (r, c), with K in (kh, kw, Cin) order.
+def _patches(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Patch matrix [N*oh*ow, kh*kw*Cin] of x [N, H, W, Cin], written into out
+    when given: row (n, r, c) holds the window under output position (r, c),
+    with K in (kh, kw, Cin) order.
 
     The windows are a strided view of x, or of a zero-bordered copy of it
-    when padding > 0, ordered [N, oh, ow, kh, kw, Cin]; one contiguous copy
-    of that view is the matrix.
+    when padding > 0, ordered [N, oh, ow, kh, kw, Cin]; one copy of that
+    view is the matrix.
     """
     n, h, w, cin = x.shape
     if padding:
@@ -79,7 +110,10 @@ def _patches(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.n
         x = xp
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     win = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
-    return np.ascontiguousarray(win).reshape(-1, kh * kw * cin)
+    if out is None:
+        out = np.empty((math.prod(win.shape[:3]), kh * kw * cin))
+    out.reshape(win.shape)[...] = win
+    return out
 
 
 def conv2d(x: np.ndarray, weight: np.ndarray, stride: int = 1, padding: int = 0):
@@ -101,9 +135,18 @@ def conv2d(x: np.ndarray, weight: np.ndarray, stride: int = 1, padding: int = 0)
             f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
     oh, ow = conv_out_hw(h, w, kh, kw, stride, padding)
-    patches = _patches(x, kh, kw, stride, padding)
-    out = patches @ weight.transpose(2, 3, 1, 0).reshape(-1, cout)
-    return out.reshape(n, oh, ow, cout), patches
+    positions, depth = oh * ow, kh * kw * cin
+    wmat = weight.transpose(2, 3, 1, 0).reshape(depth, cout)
+    patches = np.empty((n * positions, depth))
+    out = np.empty((n, oh, ow, cout))
+
+    def samples(lo, hi):
+        rows = patches[lo * positions:hi * positions]
+        _patches(x[lo:hi], kh, kw, stride, padding, rows)
+        np.matmul(rows, wmat, out=out[lo:hi].reshape(-1, cout))
+
+    cores.halves(samples, n, patches.size, split=row_halves(n, positions, depth, cout))
+    return out, patches
 
 
 def conv2d_grad(upstream: np.ndarray, x: np.ndarray, weight: np.ndarray,
@@ -127,24 +170,37 @@ def conv2d_grad(upstream: np.ndarray, x: np.ndarray, weight: np.ndarray,
     if patches is None:
         patches = _patches(_as64(x), kh, kw, stride, padding)
     g = upstream.reshape(-1, cout)
-    # dW: one GEMM reduces over batch and output positions.
-    dw = (np.ascontiguousarray(g.T) @ patches).reshape(cout, kh, kw, cin)
-    dw = np.ascontiguousarray(dw.transpose(0, 3, 1, 2))
+    dw = []
+
+    def weight_grad():
+        # One GEMM reduces over batch and output positions.
+        d = (np.ascontiguousarray(g.T) @ patches).reshape(cout, kh, kw, cin)
+        dw.append(np.ascontiguousarray(d.transpose(0, 3, 1, 2)))
+
     if not input_grad:
-        return None, dw
-    # dX: one GEMM expands upstream onto input patches [kh, kw, Cin, oh, ow, N];
-    # its (i, j) slabs are scattered in a fixed (i, j) order into a padded
-    # buffer with the batch innermost, so each add runs over contiguous rows
-    # (twice as fast as channels-last rows of Cin).
-    dpatch = (weight.transpose(2, 3, 1, 0).reshape(-1, cout)
-              @ upstream.transpose(3, 1, 2, 0).reshape(cout, -1)
-              ).reshape(kh, kw, cin, oh, ow, n)
-    dxp = np.zeros((cin, h + 2 * padding, w + 2 * padding, n))
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dpatch[i, j]
-    dx = dxp[:, padding:padding + h, padding:padding + w].transpose(3, 1, 2, 0)
-    return np.ascontiguousarray(dx), dw
+        weight_grad()
+        return None, dw[0]
+    # dX: one GEMM per range of input channels expands upstream onto their
+    # input patches [kh, kw, c, oh, ow, N]; its (i, j) slabs are scattered in
+    # a fixed (i, j) order into a padded buffer with the batch innermost, so
+    # each add runs over contiguous rows (twice as fast as channels-last rows
+    # of Cin). Its rows split by channel, not by sample: a split of the
+    # columns would change OpenBLAS's edge kernels and with them the sums.
+    wt = weight.transpose(2, 3, 1, 0)
+    gcols = upstream.transpose(3, 1, 2, 0).reshape(cout, -1)
+    dx = np.empty((n, h, w, cin))
+
+    def channels(lo, hi):
+        dpatch = (wt[:, :, lo:hi].reshape(-1, cout) @ gcols).reshape(kh, kw, hi - lo, oh, ow, n)
+        dxp = np.zeros((hi - lo, h + 2 * padding, w + 2 * padding, n))
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dpatch[i, j]
+        dx[..., lo:hi] = dxp[:, padding:padding + h, padding:padding + w].transpose(3, 1, 2, 0)
+
+    cores.halves(channels, cin, kh * kw * cin * gcols.shape[1], also=weight_grad,
+                 split=row_halves(cin, kh * kw, cout, gcols.shape[1]))
+    return dx, dw[0]
 
 
 def avgpool2d(x: np.ndarray, window: int, stride: int | None = None) -> np.ndarray:
@@ -160,10 +216,15 @@ def avgpool2d(x: np.ndarray, window: int, stride: int | None = None) -> np.ndarr
         raise DimensionError(f"pool window {window} larger than input {h}x{w}")
     oh, ow = conv_out_hw(h, w, window, window, stride, 0)
     out = np.zeros((n, oh, ow, c))
-    for i in range(window):
-        for j in range(window):
-            out += x[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    out /= window * window
+
+    def samples(lo, hi):
+        part = out[lo:hi]
+        for i in range(window):
+            for j in range(window):
+                part += x[lo:hi, i:i + stride * oh:stride, j:j + stride * ow:stride]
+        part /= window * window
+
+    cores.halves(samples, n, x.size)
     return out
 
 
@@ -178,9 +239,13 @@ def avgpool2d_grad(upstream: np.ndarray, x_shape: tuple, window: int,
         raise DimensionError(
             f"upstream shape {upstream.shape} does not match pool output ({n}, {oh}, {ow}, {c})"
         )
-    share = upstream / (window * window)
     dx = np.zeros(x_shape)
-    for i in range(window):
-        for j in range(window):
-            dx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += share
+
+    def samples(lo, hi):
+        share = upstream[lo:hi] / (window * window)
+        for i in range(window):
+            for j in range(window):
+                dx[lo:hi, i:i + stride * oh:stride, j:j + stride * ow:stride] += share
+
+    cores.halves(samples, n, dx.size)
     return dx

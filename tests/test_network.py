@@ -337,18 +337,30 @@ class TestInferenceThreads:
         assert network.inference_threads(160) == 1
 
     def test_below_the_thread_minimum_starts_no_worker(self, monkeypatch, started):
-        """A one-tile eval forward and a training forward start no worker and
-        pin nothing; a two-tile eval forward pins both threads and restores."""
-        pins = []
+        """A one-tile eval forward starts no worker and pins nothing; a
+        training forward starts no inference worker, pins the caller to the
+        first core and the helper to the second for its halves, then gives
+        both the mask back; a two-tile eval forward pins both threads and
+        restores."""
+        caller, pins = threading.get_ident(), []
         monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(network.os, "sched_setaffinity", lambda pid, cpus: pins.append(cpus))
+        monkeypatch.setattr(network.os, "sched_setaffinity",
+                            lambda pid, cpus: pins.append((threading.get_ident(), pid, cpus)))
         net, rng = _eval_net((4, 8), seed=33)
         net.forward(rng.normal(size=(net.tile, 1, 8, 8)), training=False)
-        net.forward(rng.normal(size=(32 * net.tile, 1, 8, 8)), training=True)
         assert started == [] and pins == []
+        net.forward(rng.normal(size=(32 * net.tile, 1, 8, 8)), training=True)
+        assert [t for t in started if t.name != "spikeprune-helper"] == []
+        mine = [(pid, sorted(c)) for who, pid, c in pins if who == caller]
+        assert [c for pid, c in mine if pid == 0] == [[0], [0, 1]]
+        assert [c for pid, c in mine if pid != 0] == [[0, 1]]     # the helper's, given back
+        assert all(c == {1} for who, _, c in pins if who != caller)
+        started.clear()
+        pins.clear()
         net.forward(rng.normal(size=(2 * net.tile, 1, 8, 8)), training=False)
         assert len(started) == 1
-        assert sorted(map(sorted, pins[:2])) == [[0], [1]] and sorted(pins[2]) == [0, 1]
+        assert sorted(map(sorted, (c for _, _, c in pins[:2]))) == [[0], [1]]
+        assert sorted(pins[2][2]) == [0, 1]
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two cores")
     def test_worker_tiles_run_on_another_core(self, monkeypatch):
