@@ -112,14 +112,20 @@ class _Job:
             self.done.acquire()
         self.errors = {}                # piece start -> the error it raised
 
-    def work(self, call=None):
+    def work(self, call=None, cpu=None):
         """Run pieces nobody has taken, each as call(kernel, lo, hi), or
-        kernel(lo, hi) where call is None."""
+        kernel(lo, hi) where call is None. Given a cpu, the thread pins itself
+        to it before the first piece it takes: the caller waits for that piece,
+        so the region's release of the helper's mask comes after the pin, and
+        a job whose pieces the caller has already run pins nothing."""
         while True:
             with self._lock:
                 piece = next(self._pending, None)
             if piece is None:
                 return
+            if cpu is not None:
+                pin(cpu)
+                cpu = None
             try:
                 if call is None:
                     self.kernel(*piece)
@@ -135,7 +141,7 @@ class _Job:
 
 class _Helper:
     """The persistent helper thread: it runs the pieces it takes from each
-    job, pinned to the core the job names."""
+    job, pinned to the core the job names from its first piece on."""
 
     def __init__(self):
         self.jobs = queue.SimpleQueue()
@@ -145,9 +151,7 @@ class _Helper:
     def _loop(self):
         while True:
             job = self.jobs.get()
-            if os.sched_getaffinity(0) != {job.cpu}:
-                pin(job.cpu)
-            job.work(job.context.run)
+            job.work(job.context.run, job.cpu)
             job = None      # the kernel's arrays are the caller's to free
 
     def release(self, mask):
@@ -202,7 +206,14 @@ class _Region:
 @contextlib.contextmanager
 def training():
     """Run the block's halves() calls as two halves each, on two cores where
-    the host allows (module docstring). A nested region is the outer one."""
+    the host allows (module docstring). A nested region is the outer one.
+
+    The block's results are those of the block run on the caller alone with
+    OpenBLAS at one thread, bit for bit. Under a multi-threaded OpenBLAS they
+    can differ from that block's in the last bit: from the first shared call
+    on, the whole-batch products too run at one thread, and OpenBLAS splits a
+    product among its threads by shape (the desk net at batch 7 is such a
+    shape). A block that shares no kernel leaves the count alone."""
     if getattr(_local, "region", None) is not None:
         yield
         return

@@ -403,12 +403,10 @@ class LIF(Layer):
         st = self.state
         leak = 1.0 - 1.0 / p.tau
         gx = np.empty(gys.shape)
-        derive = "gprime" not in vars(st)   # each range derives its own g' first
-        gp = np.empty(st.h.shape) if derive else st.gprime
+        gp = np.empty(st.h.shape)
 
         def samples(lo, hi):
-            if derive:
-                st.derive_gprime(gp, lo, hi)
+            st.derive_gprime(gp, lo, hi)        # each range derives its own g' first
             h, s, g, d, out = (a[:, lo:hi] for a in (st.h, st.s, gp, gys, gx))
             du = np.zeros(h.shape[1:])
             du_dh = np.empty_like(du)

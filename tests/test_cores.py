@@ -25,11 +25,11 @@ def helper_pieces(monkeypatch):
     ran = []
     work = cores._Job.work
 
-    def recording(job, call=None):
+    def recording(job, call=None, cpu=None):
         def note(kernel, lo, hi):
             ran.append(threading.current_thread().name)
             (kernel(lo, hi) if call is None else call(kernel, lo, hi))
-        work(job, note)
+        work(job, note, cpu)
 
     monkeypatch.setattr(cores._Job, "work", recording)
     return ran
@@ -108,6 +108,32 @@ def test_two_threads_give_the_one_thread_step(monkeypatch, helper_pieces, channe
         assert "spikeprune-helper" in by_thread
 
 
+@pytest.mark.skipif(not TWO_CORES, reason="the helper runs only on two cores")
+@pytest.mark.parametrize("share_min", [0, cores.SHARE_MIN])
+def test_a_step_under_a_multithreaded_blas(monkeypatch, share_min):
+    """OpenBLAS at 2 threads, the default on two cores, and the desk net at
+    batch 7, where a 2-thread OpenBLAS rounds some products otherwise than a
+    1-thread one. A step that shares its kernels (share_min 0) runs every
+    product at one thread and gives the unshared step at one thread; a step
+    with no kernel past SHARE_MIN keeps 2 threads and gives the unshared
+    step at 2 threads."""
+    get, put = cores.BLAS
+    before = get()
+    monkeypatch.setattr(cores, "SHARE_MIN", share_min)
+    try:
+        put(2)
+        shared = steps((12, 24), 7, False)
+        assert get() == 2
+        with monkeypatch.context() as m:
+            no_region(m)
+            put(1 if share_min == 0 else 2)
+            whole = steps((12, 24), 7, False)
+    finally:
+        put(before)
+    for a, b in zip(shared, whole):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_row_halves_keeps_every_sum():
     """Wherever row_halves allows a split, the two half products equal the
     rows of the whole product (forward patch GEMM and dX GEMM shapes)."""
@@ -155,11 +181,11 @@ class TestRegionState:
         seen = []
         real = cores._Job.work
 
-        def watch(job, call=None):
+        def watch(job, call=None, cpu=None):
             def note(kernel, lo, hi):
                 seen.append(cores.BLAS[0]())
                 (kernel(lo, hi) if call is None else call(kernel, lo, hi))
-            real(job, note)
+            real(job, note, cpu)
 
         monkeypatch.setattr(cores._Job, "work", watch)
         net, trainer, data = tiny_run(seed=2, n_train=16, batch=16)
@@ -204,6 +230,28 @@ class TestRegionState:
             with cores.training():
                 cores.halves(kernel, 10, cores.SHARE_MIN)
         assert sorted(ran) == [(0, 5), (5, 10)] and os.sched_getaffinity(0) == mask
+
+    @pytest.mark.skipif(not TWO_CORES, reason="the helper runs only on two cores")
+    def test_a_job_the_caller_finished_leaves_the_helper_unpinned(self):
+        """The caller runs both pieces while the helper is busy, and the
+        region ends; the helper then takes the spent job from its queue. Once
+        the queue drains, the helper's mask is the caller's, not one core."""
+        helper = cores._the_helper()
+        go = threading.Event()
+        busy = cores._Job(lambda lo, hi: go.wait(10), [(0, 1)], None)
+        helper.jobs.put(busy)
+        ran = []
+        mask = os.sched_getaffinity(0)
+        try:
+            with cores.training():
+                cores.halves(lambda lo, hi: ran.append((lo, hi)), 10, cores.SHARE_MIN)
+        finally:
+            go.set()
+        assert ran == [(0, 5), (5, 10)]
+        drained = cores._Job(lambda lo, hi: None, [(0, 1)], None)
+        helper.jobs.put(drained)
+        assert drained.done.acquire(timeout=10)
+        assert os.sched_getaffinity(helper.thread.native_id) == mask
 
     def test_refused_pinning_runs_both_halves_on_the_caller(self, monkeypatch, helper_pieces):
         """A sched_setaffinity that raises: same results, all on the caller."""
