@@ -153,8 +153,7 @@ def _unstructured_schedule(cfg: ExperimentConfig, steps_per_epoch: int, prunable
     if round_half_up((1.0 - extend_sparsity(cfg.s_f, r)) * prunable) < 1:   # the last event
         raise ConfigError(f"key 's_f': {cfg.s_f} with key 'r' = {r} leaves none of the "
                           f"{prunable} prunable weights")
-    return SparsitySchedule(s_f=cfg.s_f, delta_t=cfg.delta_t, t_f=t_f,
-                            r=cfg.regen_ratio("unstructured"))
+    return SparsitySchedule(s_f=cfg.s_f, delta_t=cfg.delta_t, t_f=t_f, r=r)
 
 
 def cmd_prune_unstructured(args) -> int:
@@ -230,9 +229,8 @@ def cmd_prune_structured(args) -> int:
               scores_to_rows(res.channel_scores))
     _write_json(os.path.join(out, "flops.json"), res.flops.to_dict())
 
-    index_of = res.plan.flat_index()
-    surviving = np.zeros(res.plan.total_channels, dtype=bool)
-    surviving[[index_of[(l, c)] for l, keep in res.plan.keep.items() for c in keep]] = True
+    surviving = np.concatenate([np.isin(np.arange(width), res.plan.keep[layer])
+                                for layer, width in sorted(res.plan.widths.items())])
     report = survival_report(res.ledger, surviving)
     _write_json(os.path.join(out, "survival.json"), report)
 

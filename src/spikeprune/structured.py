@@ -13,7 +13,7 @@ from .analysis import SurvivalLedger
 from .criticality import CriticalityTable, sample_scores, score_batch
 from .errors import ArgumentError, DimensionError
 from .network import NetworkSpec, SpikingNetwork, trace_shapes
-from .unstructured import extend_sparsity, round_half_up
+from .unstructured import extend_sparsity, prune_global_magnitude, regenerate, round_half_up
 
 
 @dataclass
@@ -40,12 +40,6 @@ class ChannelPlan:
     def survivors(self) -> int:
         return sum(len(v) for v in self.keep.values())
 
-    def flat_index(self) -> dict:
-        """(layer, channel) -> position in the flat channel order (layers
-        ascending, then channels) that survival counts index."""
-        pairs = ((l, c) for l in sorted(self.widths) for c in range(self.widths[l]))
-        return {pc: i for i, pc in enumerate(pairs)}
-
     def to_dict(self):
         return {
             "keep": {str(k): list(map(int, v)) for k, v in self.keep.items()},
@@ -69,26 +63,11 @@ def bn_gammas(net: SpikingNetwork) -> dict:
     }
 
 
-def rank_channels(gammas: dict) -> list:
-    """All (layer, channel) pairs in ascending |gamma| order, ties by index."""
-    layers, channels, mags = [], [], []
-    for layer in sorted(gammas):
-        g = np.asarray(gammas[layer])
-        layers.extend([layer] * g.size)
-        channels.extend(range(g.size))
-        mags.extend(np.abs(g))
-    layers = np.array(layers)
-    channels = np.array(channels)
-    mags = np.array(mags)
-    order = np.lexsort((channels, layers, mags))
-    return [(int(layers[i]), int(channels[i])) for i in order]
-
-
 @dataclass
 class ChannelPruneInfo:
     k: int
-    pruned: list                # (layer, channel) removed before regeneration
-    regenerated: list           # (layer, channel) brought back
+    pruned: np.ndarray          # flat channel indices removed before regeneration, ascending
+    regenerated: np.ndarray     # flat channel indices brought back, ascending
     force_kept: list            # (layer, channel) kept by the collapse guard
 
 
@@ -96,47 +75,32 @@ def prune_and_regenerate_channels(net: SpikingNetwork, percent: float, r: float,
                                   channel_scores: dict) -> tuple:
     """Over-prune channels by |gamma| to the extended percent, then regenerate.
 
-    channel_scores maps bn layer index -> per-channel criticality. Returns
-    (ChannelPlan, ChannelPruneInfo). A layer emptied by the global ranking
-    force-keeps its highest-|gamma| channel.
+    Channels rank as connections do, through prune_global_magnitude and
+    regenerate over one flat vector in (layer, channel) order; the info's
+    flat indices count in that order. channel_scores maps bn layer index ->
+    per-channel criticality. Returns (ChannelPlan, ChannelPruneInfo). A layer
+    emptied by the global ranking force-keeps its first highest-|gamma| channel.
     """
     gammas = bn_gammas(net)
     widths = {layer: g.size for layer, g in gammas.items()}
-    total = sum(widths.values())
-    percent_prime = extend_sparsity(percent, r)
-    survivors_prime = round_half_up((1.0 - percent_prime) * total)
-    if survivors_prime < 1:
-        raise ArgumentError(f"extended percent {percent_prime} leaves no channels")
-    ranking = rank_channels(gammas)
-    prune_count = total - survivors_prime
-    pruned = ranking[:prune_count]
-
-    target_survivors = round_half_up((1.0 - percent) * total)
-    k = target_survivors - survivors_prime
-    regenerated = []
+    gamma = np.concatenate(list(gammas.values()))
+    mags = np.abs(gamma)
+    mask = np.ones(gamma.size, dtype=bool)
+    pruned = prune_global_magnitude(mags, mask, extend_sparsity(percent, r))
+    k = round_half_up((1.0 - percent) * mask.size) - int(np.count_nonzero(mask))
+    regenerated = np.empty(0, dtype=np.intp)
     if k > 0:
-        if k > len(pruned):
-            raise ArgumentError(f"k={k} exceeds pruned channel count {len(pruned)}")
-        score = np.array([channel_scores[l][c] for l, c in pruned])
-        mag = np.array([abs(gammas[l][c]) for l, c in pruned])
-        idx = np.arange(len(pruned))
-        order = np.lexsort((idx, -mag, -score))
-        regenerated = [pruned[i] for i in order[:k]]
+        scores = np.concatenate([channel_scores[layer] for layer in gammas])
+        regenerated = regenerate(mask, mags, scores, gamma, k)
 
-    removed = set(pruned) - set(regenerated)
-    keep = {layer: [c for c in range(widths[layer]) if (layer, c) not in removed]
-            for layer in widths}
-    force_kept = []
-    for layer, kept in keep.items():
-        if not kept:
-            g = np.abs(gammas[layer])
-            best = int(np.lexsort((np.arange(g.size), -g))[0])
-            keep[layer] = [best]
-            force_kept.append((layer, best))
-    plan = ChannelPlan(keep=keep, widths=widths)
-    info = ChannelPruneInfo(k=int(max(k, 0)), pruned=pruned, regenerated=regenerated,
-                            force_kept=force_kept)
-    return plan, info
+    bounds = np.cumsum(list(widths.values()))[:-1]
+    keep = {layer: np.flatnonzero(kept).tolist()
+            for layer, kept in zip(gammas, np.split(mask, bounds))}
+    force_kept = [(layer, int(np.argmax(np.abs(g)))) for layer, g in gammas.items()
+                  if not keep[layer]]
+    keep.update({layer: [best] for layer, best in force_kept})
+    return ChannelPlan(keep=keep, widths=widths), ChannelPruneInfo(
+        k=k, pruned=pruned, regenerated=regenerated, force_kept=force_kept)
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +147,6 @@ def apply_plan_to_spec(spec: NetworkSpec, plan: ChannelPlan) -> NetworkSpec:
                        t_steps=spec.t_steps, lif=spec.lif)
 
 
-def _head_keep_features(plan_keep: list, h: int, w: int) -> np.ndarray:
-    hw = h * w
-    return np.concatenate([np.arange(c * hw, (c + 1) * hw) for c in plan_keep])
-
-
 def slim(net: SpikingNetwork, plan: ChannelPlan) -> SpikingNetwork:
     """Physically remove pruned channels; output matches the gamma/beta-masked
     original within float roundoff for every input."""
@@ -195,7 +154,6 @@ def slim(net: SpikingNetwork, plan: ChannelPlan) -> SpikingNetwork:
         if net.layers[layer].kind != "batchnorm" or net.layers[layer].channels != width:
             raise DimensionError(f"plan does not match network at layer {layer}")
     spec = net.spec
-    shapes = trace_shapes(spec)
     new_spec = apply_plan_to_spec(spec, plan)
     out = SpikingNetwork(new_spec, np.random.default_rng(0))
     kept_in = None
@@ -219,9 +177,9 @@ def slim(net: SpikingNetwork, plan: ChannelPlan) -> SpikingNetwork:
             if kept_in is None:
                 dst.weight[...] = src.weight
             else:
-                c_, h_, w_ = shapes[i - 2]
-                cols = _head_keep_features(kept_in, h_, w_)
-                dst.weight[...] = src.weight[:, cols]
+                hw = dst.weight.shape[1] // len(kept_in)    # features per channel
+                cols = src.weight.reshape(len(src.bias), -1, hw)[:, kept_in]
+                dst.weight[...] = cols.reshape(dst.weight.shape)
                 kept_in = None
             dst.bias[...] = src.bias
     return out
@@ -318,8 +276,7 @@ def criticality_over_dataset(net: SpikingNetwork, x: np.ndarray, batch_size: int
         table.accumulate(score_batch({key: s[i:i + batch_size]
                                       for key, s in per_sample.items()}))
     finalized = table.finalize()
-    return {i: finalized[net.scoring_lif(i)]
-            for i, layer in enumerate(net.layers) if layer.kind == "batchnorm"}
+    return {i: finalized[net.scoring_lif(i)] for i in bn_gammas(net)}
 
 
 @dataclass
@@ -349,10 +306,7 @@ def structured_pipeline(net, make_trainer, train_epochs: int, finetune_epochs: i
     plan, info = prune_and_regenerate_channels(net, percent, r, scores)
 
     ledger = SurvivalLedger(plan.total_channels)
-    index_of = plan.flat_index()
-    newly = np.array(sorted(index_of[pc] for pc in info.pruned), dtype=np.intp)
-    regen = np.array(sorted(index_of[pc] for pc in info.regenerated), dtype=np.intp)
-    ledger.on_iteration(1, newly, regen)
+    ledger.on_iteration(1, info.pruned, info.regenerated)
 
     slimmed = slim(net, plan)
     flops = count_flops(net.spec, plan)

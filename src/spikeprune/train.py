@@ -14,6 +14,7 @@ from .data import Dataset
 from .errors import NumericError
 from .network import NetworkSpec, SpikingNetwork
 from .optim import SGD, TrainConfig, accuracy, loss_ce_l1, lr_at
+from .unstructured import sparsity
 
 EPOCH_HEADER = "epoch,lr,train_loss,train_acc,test_loss,test_acc,sparsity"
 PRUNE_HEADER = "iteration,step,s_t,s_prime,k,regenerated_fraction,train_acc"
@@ -95,18 +96,23 @@ class Trainer:
         hits = (logits.argmax(axis=1) == y).sum()
         return float(losses / len(y)), float(hits / len(y))
 
-    def run_epochs(self, epochs: int, lambda_l1: float = 0.0) -> list:
+    def run_epochs(self, epochs: int, lambda_l1: float = 0.0, mask=None, after_step=None) -> list:
+        """One EPOCH_HEADER row per epoch. Every step trains under mask; the
+        row's sparsity is mask's at the epoch's end (0.0 without one).
+        after_step(acc) runs after each step and may change mask."""
         rows = []
         for epoch in range(epochs):
             lr = lr_at(epoch, self.cfg)
             losses, accs = [], []
             for x, y in self.batches():
-                loss, acc = self.train_step(x, y, lr, lambda_l1=lambda_l1)
+                loss, acc = self.train_step(x, y, lr, mask=mask, lambda_l1=lambda_l1)
                 losses.append(loss)
                 accs.append(acc)
+                if after_step is not None:
+                    after_step(acc)
             test_loss, test_acc = self.evaluate()
             rows.append((epoch, lr, float(np.mean(losses)), float(np.mean(accs)),
-                         test_loss, test_acc, 0.0))
+                         test_loss, test_acc, 0.0 if mask is None else sparsity(mask)))
         return rows
 
 

@@ -19,7 +19,6 @@ from .criticality import (
     score_batch,
 )
 from .errors import ArgumentError
-from .optim import lr_at
 
 
 def round_half_up(x: float) -> int:
@@ -160,51 +159,43 @@ class PruneRunResult:
 
 def prune_loop(net, trainer, sched: SparsitySchedule, epochs: int,
                aggregation: str = "max", gmp_only: bool = False) -> PruneRunResult:
-    """Iterative train/prune/regenerate driver.
+    """Iterative train/prune/regenerate driver over trainer.run_epochs.
 
-    Runs `epochs` epochs of training; after every training step t with
-    t % delta_t == 0 and t <= t_f, advances the schedule, prunes globally
-    to the extended sparsity, scores criticality from the step just
-    trained, and regenerates back to the schedule sparsity. Steps past t_f
-    fine-tune with masks frozen. With gmp_only the event prunes straight
-    to the schedule sparsity and skips scoring and regeneration entirely.
+    After every step t of this loop with t % delta_t == 0 and t <= t_f,
+    advances the schedule, prunes globally to the extended sparsity, scores
+    criticality from the step just trained, and regenerates back to the
+    schedule sparsity. Steps past t_f fine-tune with masks frozen. With
+    gmp_only the event prunes straight to the schedule sparsity and skips
+    scoring and regeneration entirely.
     """
     weights = net.flat[:net.n_prunable]
     mask = np.ones(net.n_prunable, dtype=bool)
     ledger = SurvivalLedger(mask.size)
-    events = []
-    epoch_rows = []
-    history = []
-    step = 0
-    for epoch in range(epochs):
-        lr = lr_at(epoch, trainer.cfg)
-        losses, accs = [], []
-        for x, y in trainer.batches():
-            loss, acc = trainer.train_step(x, y, lr, mask=mask)
-            losses.append(loss)
-            accs.append(acc)
-            step += 1
-            if step <= sched.t_f and step % sched.delta_t == 0:
-                sched.n += 1
-                s_t = current_sparsity(sched)
-                s_prime = s_t if gmp_only else extend_sparsity(s_t, sched.r)
-                snapshot = weights.copy()
-                newly = prune_global_magnitude(weights, mask, s_prime)
-                post_prune = mask.copy()
-                k, chosen = 0, np.empty(0, dtype=np.intp)
-                if not gmp_only:
-                    table = CriticalityTable()
-                    table.accumulate(score_batch(sample_scores(net.lif_states(), aggregation)))
-                    conn = network_connection_scores(net, table.finalize())
-                    k = round_half_up((1.0 - s_t) * mask.size) - int(np.count_nonzero(mask))
-                    chosen = regenerate(mask, weights, conn, snapshot, k)
-                ledger.on_iteration(sched.n, newly, chosen)
-                history.append((post_prune, mask.copy()))
-                events.append(PruneEvent(sched.n, step, s_t, s_prime, int(k),
-                                         ledger.records[-1].rescue_fraction, acc,
-                                         sparsity(mask)))
-        test_loss, test_acc = trainer.evaluate()
-        epoch_rows.append((epoch, lr, float(np.mean(losses)), float(np.mean(accs)),
-                           test_loss, test_acc, sparsity(mask)))
+    events, history = [], []
+    first = trainer.steps_done
+
+    def prune_event(acc):
+        step = trainer.steps_done - first
+        if step > sched.t_f or step % sched.delta_t:
+            return
+        sched.n += 1
+        s_t = current_sparsity(sched)
+        s_prime = s_t if gmp_only else extend_sparsity(s_t, sched.r)
+        snapshot = weights.copy()
+        newly = prune_global_magnitude(weights, mask, s_prime)
+        post_prune = mask.copy()
+        k, chosen = 0, np.empty(0, dtype=np.intp)
+        if not gmp_only:
+            table = CriticalityTable()
+            table.accumulate(score_batch(sample_scores(net.lif_states(), aggregation)))
+            conn = network_connection_scores(net, table.finalize())
+            k = round_half_up((1.0 - s_t) * mask.size) - int(np.count_nonzero(mask))
+            chosen = regenerate(mask, weights, conn, snapshot, k)
+        ledger.on_iteration(sched.n, newly, chosen)
+        history.append((post_prune, mask.copy()))
+        events.append(PruneEvent(sched.n, step, s_t, s_prime, int(k),
+                                 ledger.records[-1].rescue_fraction, acc, sparsity(mask)))
+
+    epoch_rows = trainer.run_epochs(epochs, mask=mask, after_step=prune_event)
     return PruneRunResult(mask=mask, ledger=ledger, events=events,
                           epoch_rows=epoch_rows, mask_history=history)

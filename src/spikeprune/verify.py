@@ -287,6 +287,16 @@ def _tied_weights(rng):
     return w * mask, mask
 
 
+def _channel_topk_matches(net, scores, info) -> bool:
+    """info.regenerated is the top info.k of info.pruned by a brute-force
+    (score, |gamma|, flat index) sort; flat order is (layer, channel) order."""
+    bns = sorted(scores)
+    score = np.concatenate([scores[bn] for bn in bns])
+    gamma = np.abs(np.concatenate([net.layers[bn].gamma for bn in bns]))
+    brute = sorted(info.pruned.tolist(), key=lambda i: (-score[i], -gamma[i], i))[:info.k]
+    return info.regenerated.tolist() == sorted(brute)
+
+
 def check_regeneration_oracle():
     """Connection and channel regeneration pick the top k by (score, |w|,
     index), and global magnitude pruning cuts the first entries by (|w|,
@@ -316,10 +326,7 @@ def check_regeneration_oracle():
         scores = {bn: rng.uniform(0, 1, size=width)}
         plan, info = prune_and_regenerate_channels(
             net, float(rng.uniform(0.2, 0.7)), float(rng.uniform(0.0, 0.5)), scores)
-        brute = sorted(info.pruned,
-                       key=lambda lc: (-scores[lc[0]][lc[1]],
-                                       -abs(net.layers[lc[0]].gamma[lc[1]]), lc))[:info.k]
-        if sorted(info.regenerated) != sorted(brute):
+        if not _channel_topk_matches(net, scores, info):
             return False, f"channel trial {trial}: top-k set mismatch"
     # Ties: connections into one channel share its score, |w| is rounded,
     # and the pruned set holds earlier cuts (snapshot 0) and this event's.
@@ -367,10 +374,7 @@ def check_regeneration_oracle():
             scores[bn] = np.round(rng.uniform(0, 1, size=width), 1)
         plan, info = prune_and_regenerate_channels(
             net, float(rng.uniform(0.2, 0.7)), float(rng.uniform(0.0, 0.5)), scores)
-        brute = sorted(info.pruned,
-                       key=lambda lc: (-scores[lc[0]][lc[1]],
-                                       -abs(net.layers[lc[0]].gamma[lc[1]]), lc))[:info.k]
-        if sorted(info.regenerated) != sorted(brute):
+        if not _channel_topk_matches(net, scores, info):
             return False, f"tied channel trial {trial}: top-k set mismatch"
     return True, ("100 connection + 40 channel + 100 tied connection + 40 tied channel "
                   "instances match brute-force (score, |w|, index) sorts; 100 tied "

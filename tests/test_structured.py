@@ -17,7 +17,6 @@ from spikeprune.structured import (
     criticality_over_dataset,
     mask_channels,
     prune_and_regenerate_channels,
-    rank_channels,
     slim,
     structured_pipeline,
 )
@@ -51,14 +50,30 @@ def random_plan(net, rng, keep_at_least=1):
     return ChannelPlan(keep=keep, widths=widths)
 
 
+def bn_net(channels, gammas):
+    """Net with the given per-BN-layer gammas; returns (net, bn layer indices)."""
+    net = SpikingNetwork(vgg_mini(input_shape=(1, 8, 8), channels=channels, classes=2),
+                         np.random.default_rng(0))
+    bns = [i for i, l in enumerate(net.layers) if l.kind == "batchnorm"]
+    for bn, g in zip(bns, gammas):
+        net.layers[bn].gamma[...] = g
+    return net, bns
+
+
 class TestRankChannels:
     def test_hand_example(self):
-        ranking = rank_channels({1: np.array([0.9, 0.05, 0.4, 0.01])})
-        assert ranking[:2] == [(1, 3), (1, 1)]  # 0.01 then 0.05 pruned at 50%
+        net, (bn,) = bn_net((4,), [[0.9, 0.05, 0.4, 0.01]])
+        plan, info = prune_and_regenerate_channels(net, 0.5, 0.0, {bn: np.zeros(4)})
+        assert info.pruned.tolist() == [1, 3]   # 0.01 and 0.05 pruned at 50%
+        assert plan.keep[bn] == [0, 2]
 
     def test_all_equal_uses_index_order(self):
-        ranking = rank_channels({1: np.full(3, 0.5), 5: np.full(2, 0.5)})
-        assert ranking == [(1, 0), (1, 1), (1, 2), (5, 0), (5, 1)]
+        net, bns = bn_net((3, 2), [np.full(3, 0.5), np.full(2, 0.5)])
+        assert bns == [1, 5]
+        scores = {bn: np.zeros(net.layers[bn].channels) for bn in bns}
+        for count in range(1, 5):
+            plan, info = prune_and_regenerate_channels(net, count / 5, 0.0, scores)
+            assert info.pruned.tolist() == list(range(count))  # lowest flat index first
 
     def test_percent_zero_prunes_nothing(self):
         net, _ = rand_net(0)
@@ -66,7 +81,7 @@ class TestRankChannels:
                   if l.kind == "batchnorm"}
         plan, info = prune_and_regenerate_channels(net, 0.0, 0.0, scores)
         assert plan.survivors() == plan.total_channels
-        assert info.pruned == []
+        assert info.pruned.size == 0
 
 
 class TestPruneAndRegenerate:
@@ -85,9 +100,8 @@ class TestPruneAndRegenerate:
         net.layers[bn].gamma[...] = [0.9, 0.05, 0.4, 0.01]
         scores = {bn: np.array([0.1, 0.8, 0.2, 0.3])}
         plan, info = prune_and_regenerate_channels(net, 0.5, 0.5, scores)
-        assert len(info.pruned) == 3
-        assert set(info.pruned) == {(bn, 3), (bn, 1), (bn, 2)}
-        assert info.regenerated == [(bn, 1)]    # highest criticality among pruned
+        assert info.pruned.tolist() == [1, 2, 3]  # flat index == channel in the first layer
+        assert info.regenerated.tolist() == [1]   # highest criticality among pruned
         assert plan.keep[bn] == [0, 1]
 
     def test_r0_is_plain_slimming(self):
@@ -96,7 +110,7 @@ class TestPruneAndRegenerate:
         net.layers[bn].gamma[...] = [0.9, 0.05, 0.4, 0.01]
         scores = {bn: np.zeros(4)}
         plan, info = prune_and_regenerate_channels(net, 0.5, 0.0, scores)
-        assert info.regenerated == []
+        assert info.regenerated.size == 0
         assert plan.keep[bn] == [0, 2]          # two largest |gamma| survive
 
     def test_never_resurrects_unpruned(self):
@@ -107,7 +121,7 @@ class TestPruneAndRegenerate:
             percent = float(rng.uniform(0.2, 0.7))
             r = float(rng.uniform(0.0, 0.6))
             plan, info = prune_and_regenerate_channels(net, percent, r, scores)
-            assert set(info.regenerated) <= set(info.pruned)
+            assert np.isin(info.regenerated, info.pruned).all()
 
     def test_channel_counts_exact(self):
         for seed in range(10):
@@ -129,6 +143,14 @@ class TestPruneAndRegenerate:
         plan, info = prune_and_regenerate_channels(net, 0.5, 0.0, scores)
         assert plan.keep[bns[0]] == [1]         # top |gamma| force-kept
         assert (bns[0], 1) in info.force_kept
+
+    def test_layer_collapse_guard_tie_keeps_lowest_channel(self):
+        net, bns = bn_net((3, 6), [[1e-6, -2e-6, 2e-6], np.linspace(0.5, 1.0, 6)])
+        scores = {bns[0]: np.zeros(3), bns[1]: np.zeros(6)}
+        plan, info = prune_and_regenerate_channels(net, 0.4, 0.0, scores)
+        assert info.pruned.tolist() == [0, 1, 2, 3]
+        assert plan.keep[bns[0]] == [1]         # first of the tied top |gamma|
+        assert info.force_kept == [(bns[0], 1)]
 
     def test_invalid_percent(self):
         net, _ = rand_net(61)

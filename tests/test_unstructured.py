@@ -289,3 +289,27 @@ class TestPruneLoop:
         res = prune_loop(net, trainer, self._sched(trainer, r=0.2), epochs=6)
         assert res.mask.size == net.n_prunable
         assert np.all(net.flat[:net.n_prunable][~res.mask] == 0.0)
+
+    def test_events_count_from_the_loops_first_step(self):
+        net, trainer, _ = tiny_run(seed=13)
+        trainer.run_epochs(1)
+        sched = self._sched(trainer, delta_t=2, prune_epochs=2)
+        res = prune_loop(net, trainer, sched, epochs=3)
+        assert [ev.step for ev in res.events] == list(range(2, sched.t_f + 1, 2))
+
+    def test_epoch_rows_read_the_mask_at_epoch_end(self):
+        net, trainer, _ = tiny_run(seed=14)
+        res = prune_loop(net, trainer, self._sched(trainer, delta_t=2, prune_epochs=3),
+                         epochs=5)
+        for epoch, row in enumerate(res.epoch_rows):
+            done = sum(ev.step <= (epoch + 1) * trainer.steps_per_epoch for ev in res.events)
+            assert row[-1] == (sparsity(res.mask_history[done - 1][1]) if done else 0.0)
+        assert res.epoch_rows[-1][-1] == sparsity(res.mask)
+
+    def test_run_epochs_without_mask_writes_zero_sparsity(self):
+        net, trainer, _ = tiny_run(seed=15)
+        accs = []
+        rows = trainer.run_epochs(2, after_step=accs.append)
+        assert [row[-1] for row in rows] == [0.0, 0.0]
+        assert len(accs) == 2 * trainer.steps_per_epoch
+        assert rows[0][3] == float(np.mean(accs[:trainer.steps_per_epoch]))
