@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, StateError
-from .network import WEIGHTED_KINDS
+from .network import WEIGHTED_KINDS, trace_shapes
 
 AGGREGATIONS = ("max", "mean")
 
@@ -45,13 +45,15 @@ def sample_scores(states: dict, aggregation: str = "max") -> dict:
     out = {}
     for key, st in states.items():
         g = st.gprime
-        per_sample = g.mean(axis=0)                      # time-mean, [n, ...]
-        if per_sample.ndim == 4:
-            if aggregation == "max":
-                per_sample = per_sample.max(axis=(1, 2))
-            else:
-                per_sample = per_sample.mean(axis=(1, 2))
-        elif per_sample.ndim != 2:
+        if g.ndim == 5 and aggregation == "max":
+            # Division by T > 0 is monotone, so the max of the time-sum over
+            # T is the max of the time-mean, bit for bit, from one pass less.
+            per_sample = g.sum(axis=0).max(axis=(1, 2)) / g.shape[0]
+        elif g.ndim == 5:
+            per_sample = g.mean(axis=0).mean(axis=(1, 2))
+        elif g.ndim == 3:
+            per_sample = g.mean(axis=0)                  # time-mean, [n, F]
+        else:
             raise StateError(f"layer {key}: unexpected trace shape {g.shape}")
         out[key] = per_sample
     return out
@@ -107,59 +109,56 @@ class CriticalityTable:
         return out
 
 
-def connection_scores(unit_scores: np.ndarray, weight_shape: tuple) -> np.ndarray:
-    """Broadcast post-synaptic unit scores onto a weight tensor.
-
-    Linear weights [out, in] and conv weights [cout, cin, kh, kw] both key on
-    their leading (output-unit) axis.
+@dataclass(frozen=True)
+class ConnectionRuns:
+    """The network's flat prunable index space cut into runs: blocks of
+    consecutive weights that share one criticality score. A hidden layer has
+    one run per output unit (its fan-in). The head has no spiking output
+    units and its weights inherit the score of their pre-synaptic unit, so
+    each head row has one run per unit of the LIF before it (a channel's run
+    covers its flattened spatial positions); a head with no LIF before it is
+    one run scoring 0. The layout depends only on the network's spec.
     """
-    if unit_scores.shape[0] != weight_shape[0]:
-        raise StateError(
-            f"{unit_scores.shape[0]} unit scores vs {weight_shape[0]} output units"
-        )
-    reps = (1,) * (len(weight_shape) - 1)
-    return np.broadcast_to(unit_scores.reshape((-1,) + reps), weight_shape).copy()
+
+    layers: tuple               # per weighted layer: (scoring LIF index or None, units, rows)
+    lengths: np.ndarray         # run lengths in flat order
 
 
-def head_connection_scores(unit_scores: np.ndarray, weight_shape: tuple) -> np.ndarray:
-    """Criticality for the accumulator head's weights.
-
-    The head has no spiking output units, so each weight inherits the score
-    of its pre-synaptic unit instead: per-channel scores of the last spiking
-    layer repeat over that channel's flattened spatial positions.
-    """
-    out_features, in_features = weight_shape
-    n = unit_scores.shape[0]
-    if in_features % n:
-        raise StateError(
-            f"{in_features} head inputs do not split over {n} pre-synaptic units"
-        )
-    per_feature = np.repeat(unit_scores, in_features // n)
-    return np.broadcast_to(per_feature, weight_shape).copy()
-
-
-def network_connection_scores(net, finalized: dict) -> np.ndarray:
-    """Per-weight criticality over the network's flat prunable index space.
-
-    Hidden layers broadcast their post-synaptic unit scores; the head falls
-    back to pre-synaptic scores (or 0 when no spiking layer precedes it).
-    """
-    out = []
+def connection_runs(net) -> ConnectionRuns:
+    """Run layout of net's prunable weights (see ConnectionRuns)."""
+    shapes = trace_shapes(net.spec)
+    layers, lengths = [], []
     for idx, layer in enumerate(net.layers):
         if layer.kind not in WEIGHTED_KINDS:
             continue
-        lif = net.scoring_lif(idx)
+        lif, out = net.scoring_lif(idx), layer.weight.shape[0]
         prev = [j for j in range(idx) if net.layers[j].kind == "lif"]
         if lif is not None:
-            if lif not in finalized:
-                raise StateError(f"layers.{idx}.weight: criticality table has no "
-                                 f"scores for LIF layer {lif}")
-            scores = connection_scores(finalized[lif], layer.weight.shape)
-        elif prev and prev[-1] in finalized:
-            scores = head_connection_scores(finalized[prev[-1]], layer.weight.shape)
+            entry = (lif, out, 1)
+        elif prev:
+            entry = (prev[-1], shapes[prev[-1]][0], out)
         else:
-            scores = np.zeros(layer.weight.shape)
-        out.append(scores.ravel())
+            entry = (None, 1, 1)
+        layers.append(entry)
+        runs = entry[1] * entry[2]
+        lengths.append(np.full(runs, layer.weight.size // runs, dtype=np.intp))
+    return ConnectionRuns(tuple(layers), np.concatenate(lengths))
+
+
+def network_connection_scores(runs: ConnectionRuns, finalized: dict) -> np.ndarray:
+    """One criticality score per run, in flat order: a hidden layer's runs
+    take its post-synaptic unit scores, and each head row repeats the
+    pre-synaptic ones."""
+    out = []
+    for lif, units, rows in runs.layers:
+        if lif is None:
+            out.append(np.zeros(1))
+            continue
+        if lif not in finalized:
+            raise StateError(f"criticality table has no scores for LIF layer {lif}")
+        if finalized[lif].shape != (units,):
+            raise StateError(f"LIF layer {lif}: {finalized[lif].size} scores vs {units} units")
+        out.append(np.tile(finalized[lif], rows))
     return np.concatenate(out)
 
 

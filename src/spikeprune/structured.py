@@ -91,7 +91,7 @@ def prune_and_regenerate_channels(net: SpikingNetwork, percent: float, r: float,
     regenerated = np.empty(0, dtype=np.intp)
     if k > 0:
         scores = np.concatenate([channel_scores[layer] for layer in gammas])
-        regenerated = regenerate(mask, mags, scores, gamma, k)
+        regenerated = regenerate(mask, mags, scores, np.ones(scores.size, np.intp), gamma, k)
 
     bounds = np.cumsum(list(widths.values()))[:-1]
     keep = {layer: np.flatnonzero(kept).tolist()

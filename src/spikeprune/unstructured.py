@@ -14,6 +14,7 @@ import numpy as np
 from .analysis import SurvivalLedger
 from .criticality import (
     CriticalityTable,
+    connection_runs,
     network_connection_scores,
     sample_scores,
     score_batch,
@@ -117,20 +118,31 @@ def prune_global_magnitude(weights: np.ndarray, mask: np.ndarray,
     return newly_pruned
 
 
-def regenerate(mask: np.ndarray, weights: np.ndarray, conn_scores: np.ndarray,
-               snapshot: np.ndarray, k: int) -> np.ndarray:
-    """Unmask the top-k pruned connections by criticality.
+def regenerate(mask: np.ndarray, weights: np.ndarray, scores: np.ndarray,
+               lengths: np.ndarray, snapshot: np.ndarray, k: int) -> np.ndarray:
+    """Unmask the top-k pruned structures by criticality.
 
-    All arguments share the flat prunable index space. Ranking is
-    (criticality desc, |snapshot| desc, flat index asc). Restored
-    connections take their snapshot value: the pre-prune weight for
-    connections cut this iteration, 0 for ones cut earlier. Returns the flat
-    indices regenerated, ascending.
+    mask, weights and snapshot share the flat index space; scores and
+    lengths cut it into runs, run i being the next lengths[i] >= 1 indices,
+    all scored scores[i]. Ranking is (score desc, |snapshot| desc, flat
+    index asc). Only the runs are sorted: every pruned entry of a run above
+    the cut score is taken, and only the runs at the cut, which may lie in
+    several layers, are ordered further. Restored structures take their
+    snapshot value: the pre-prune weight for ones cut this iteration, 0 for
+    ones cut earlier. Returns the flat indices regenerated, ascending.
     """
-    pruned = np.flatnonzero(~mask)
+    is_pruned = ~mask
+    pruned = np.flatnonzero(is_pruned)
     if k > pruned.size:
         raise ArgumentError(f"k={k} exceeds pruned count {pruned.size}")
-    chosen = pruned[select_first(-conn_scores[pruned], k, -np.abs(snapshot[pruned]))]
+    counts = np.add.reduceat(is_pruned, np.cumsum(lengths) - lengths, dtype=np.intp)
+    order = np.argsort(-scores, kind="stable")
+    cut = scores[order[np.searchsorted(np.cumsum(counts[order]), k)]]
+    taken = np.repeat(scores > cut, counts)
+    tie = np.flatnonzero(np.repeat(scores == cut, counts))
+    need = k - int(np.count_nonzero(taken))
+    taken[tie[select_first(-np.abs(snapshot[pruned[tie]]), need)]] = True
+    chosen = pruned[taken]
     mask[chosen] = True
     weights[chosen] = snapshot[chosen]
     return chosen
@@ -171,6 +183,7 @@ def prune_loop(net, trainer, sched: SparsitySchedule, epochs: int,
     weights = net.flat[:net.n_prunable]
     mask = np.ones(net.n_prunable, dtype=bool)
     ledger = SurvivalLedger(mask.size)
+    runs = connection_runs(net)
     events, history = [], []
     first = trainer.steps_done
 
@@ -188,9 +201,9 @@ def prune_loop(net, trainer, sched: SparsitySchedule, epochs: int,
         if not gmp_only:
             table = CriticalityTable()
             table.accumulate(score_batch(sample_scores(net.lif_states(), aggregation)))
-            conn = network_connection_scores(net, table.finalize())
+            scores = network_connection_scores(runs, table.finalize())
             k = round_half_up((1.0 - s_t) * mask.size) - int(np.count_nonzero(mask))
-            chosen = regenerate(mask, weights, conn, snapshot, k)
+            chosen = regenerate(mask, weights, scores, runs.lengths, snapshot, k)
         ledger.on_iteration(sched.n, newly, chosen)
         history.append((post_prune, mask.copy()))
         events.append(PruneEvent(sched.n, step, s_t, s_prime, int(k),

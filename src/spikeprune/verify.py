@@ -313,7 +313,7 @@ def check_regeneration_oracle():
         w *= mask
         scores = rng.uniform(0, 1, size=n)
         k = int(rng.integers(0, len(pruned_idx) + 1))
-        chosen = regenerate(mask, w, scores, snap, k)
+        chosen = regenerate(mask, w, scores, np.ones(n, dtype=np.intp), snap, k)
         brute = sorted(pruned_idx, key=lambda i: (-scores[i], -abs(snap[i]), i))[:k]
         if sorted(chosen.tolist()) != sorted(int(i) for i in brute):
             return False, f"connection trial {trial}: top-k set mismatch"
@@ -328,19 +328,23 @@ def check_regeneration_oracle():
             net, float(rng.uniform(0.2, 0.7)), float(rng.uniform(0.0, 0.5)), scores)
         if not _channel_topk_matches(net, scores, info):
             return False, f"channel trial {trial}: top-k set mismatch"
-    # Ties: connections into one channel share its score, |w| is rounded,
-    # and the pruned set holds earlier cuts (snapshot 0) and this event's.
+    # Ties: connections into one channel share its score as one run of fan
+    # indices, |w| is rounded, and the pruned set holds earlier cuts
+    # (snapshot 0) and this event's.
     for trial in range(100):
         w, mask = _tied_weights(rng)
         n = w.size
         fan = int(rng.integers(1, 10))
-        scores = np.repeat(rng.uniform(0, 1, size=-(-n // fan)), fan)[:n]
+        units = rng.uniform(0, 1, size=-(-n // fan))
+        lengths = np.full(units.size, fan)
+        lengths[-1] = n - fan * (units.size - 1)
+        scores = np.repeat(units, lengths)
         mask &= rng.random(n) >= rng.uniform(0.2, 0.8)
         snap = w.copy()
         w *= mask
         pruned = np.flatnonzero(~mask)
         k = (0, pruned.size, int(rng.integers(0, pruned.size + 1)))[min(trial % 4, 2)]
-        chosen = regenerate(mask, w, scores, snap, k)
+        chosen = regenerate(mask, w, units, lengths, snap, k)
         brute = sorted(pruned, key=lambda i: (-scores[i], -abs(snap[i]), i))[:k]
         if sorted(chosen.tolist()) != sorted(int(i) for i in brute):
             return False, f"tied connection trial {trial}: top-k set mismatch"

@@ -1,6 +1,8 @@
 """Every function the benchmark's spans patch still resolves, so a rename
-fails here rather than in a traced benchmark run; and a channel prune event
-fires only its own prune marker.
+fails here rather than in a traced benchmark run; a channel prune event
+fires only its own prune marker; and a connection prune event calls its
+phases through the names the spans patch, so the stall accounting still
+finds its marker.
 """
 
 import importlib.util
@@ -11,6 +13,8 @@ import pytest
 
 from spikeprune import structured
 from spikeprune.network import SpikingNetwork, vgg_mini
+from spikeprune.unstructured import SparsitySchedule, prune_loop
+from spikeprune.verify import tiny_run
 
 
 def load_spans():
@@ -40,3 +44,20 @@ def test_channel_event_fires_only_the_channel_marker(traced):
     with spans.Installed(tracer, traced=traced):
         structured.prune_and_regenerate_channels(net, 0.5, 0.5, scores)
     assert [s.name for s in tracer.spans] == ["structured.prune_and_regenerate_channels"]
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_connection_event_fires_its_phase_spans(traced):
+    net, trainer, _ = tiny_run(seed=5)
+    sched = SparsitySchedule(s_f=0.9, delta_t=2, t_f=4, r=0.5)
+    tracer = spans.Tracer()
+    with spans.Installed(tracer, traced=traced):
+        result = prune_loop(net, trainer, sched, epochs=2)
+    names = [s.name for s in tracer.spans]
+    phases = ["unstructured.prune_global_magnitude"]
+    if traced:
+        phases += ["unstructured.regenerate", "criticality.network_connection_scores",
+                   "criticality.score_batch"]
+    assert len(result.events) == 2
+    for name in phases:
+        assert names.count(name) == len(result.events), name

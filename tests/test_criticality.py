@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from spikeprune.criticality import (
     BatchScores,
     CriticalityTable,
-    connection_scores,
-    head_connection_scores,
+    connection_runs,
     network_connection_scores,
     sample_scores,
     score_batch,
@@ -19,7 +18,8 @@ from spikeprune.criticality import (
 )
 from spikeprune.errors import StateError
 from spikeprune.layers import LIFState
-from spikeprune.network import SpikingNetwork, vgg_mini
+from spikeprune.network import SpikingNetwork, linear_snn, vgg_mini
+from spikeprune.unstructured import regenerate
 
 
 def state_from_gprime(gp):
@@ -58,6 +58,17 @@ class TestScoreBatch:
         out_mean = scored({0: state_from_gprime(channels_last(gp))}, "mean")
         assert out_max.scores[0][0] == 0.75
         assert out_mean.scores[0][0] == pytest.approx((0.75 + 0.2) / 2)
+
+    @pytest.mark.parametrize("t", [1, 3, 5, 7])
+    def test_max_is_bitwise_time_mean_then_max(self, t):
+        """Max aggregation divides the spatial max of the time-sum by T;
+        that equals the max of the time-mean bit for bit."""
+        rng = np.random.default_rng(t)
+        conv = rng.uniform(0.0, 1.0, size=(t, 6, 3, 5, 16))
+        flat = rng.uniform(0.0, 1.0, size=(t, 6, 40))
+        out = sample_scores({0: state_from_gprime(conv), 1: state_from_gprime(flat)}, "max")
+        assert out[0].tobytes() == conv.mean(axis=0).max(axis=(1, 2)).tobytes()
+        assert out[1].tobytes() == flat.mean(axis=0).tobytes()
 
     def test_all_at_threshold_scores_one(self):
         gp = np.ones((3, 4, 2, 2, 2))
@@ -142,42 +153,90 @@ class TestTable:
         assert np.abs(whole.finalize()[0] - split.finalize()[0]).max() <= 1e-9
 
 
+def per_weight_oracle(net, finalized):
+    """Per-weight scores built directly, by parameter: a hidden layer's
+    weights take their output unit's score, the head's weights the score of
+    their input feature's pre-synaptic unit (0 with no LIF before the head)."""
+    out = {}
+    for idx, layer in enumerate(net.layers):
+        if layer.kind not in ("conv", "linear"):
+            continue
+        shape = layer.weight.shape
+        lif = net.scoring_lif(idx)
+        prev = [j for j in net.lif_indices() if j < idx]
+        if lif is not None:
+            scores = finalized[lif].reshape((-1,) + (1,) * (len(shape) - 1))
+        elif prev:
+            units = finalized[prev[-1]]
+            scores = np.repeat(units, shape[1] // units.size)
+        else:
+            scores = np.zeros(1)
+        out[f"layers.{idx}.weight"] = np.broadcast_to(scores, shape)
+    return out
+
+
+def expanded(net, finalized):
+    """The per-weight scores the runs stand for, np.repeat(scores, lengths),
+    split by parameter."""
+    runs = connection_runs(net)
+    scores = network_connection_scores(runs, finalized)
+    assert scores.shape == runs.lengths.shape and runs.lengths.min() >= 1
+    flat = np.repeat(scores, runs.lengths)
+    assert flat.shape == (net.n_prunable,)
+    return net.split(flat)
+
+
+def recorded_scores(net, rng, batch=2):
+    net.forward(rng.normal(size=(batch,) + tuple(net.spec.input_shape)), training=True)
+    table = CriticalityTable()
+    table.accumulate(scored(net.lif_states()))
+    return table.finalize()
+
+
 class TestConnectionScores:
     def test_linear_broadcast(self):
-        out = connection_scores(np.array([0.7]), (1, 2))
-        np.testing.assert_array_equal(out, [[0.7, 0.7]])
+        net = SpikingNetwork(linear_snn((2, 1, 3)), np.random.default_rng(0))
+        out = expanded(net, {1: np.array([0.7])})
+        np.testing.assert_array_equal(out["layers.0.weight"], [[0.7, 0.7]])
 
     def test_conv_broadcast(self):
-        out = connection_scores(np.array([0.9, 0.1]), (2, 3, 3, 3))
+        net = SpikingNetwork(vgg_mini(input_shape=(3, 8, 8), channels=(2,)),
+                             np.random.default_rng(0))
+        out = expanded(net, {2: np.array([0.9, 0.1])})["layers.0.weight"]
+        assert out.shape == (2, 3, 3, 3)
         assert np.all(out[0] == 0.9) and np.all(out[1] == 0.1)
 
     def test_head_inherits_presynaptic_scores(self):
         # 2 channels over 3 flattened positions each -> 6 input features
-        out = head_connection_scores(np.array([0.7, 0.2]), (3, 6))
+        net = SpikingNetwork(vgg_mini(input_shape=(1, 6, 2), channels=(2,), classes=3),
+                             np.random.default_rng(0))
+        assert connection_runs(net).lengths[2:].tolist() == [3] * 6
+        out = expanded(net, {2: np.array([0.7, 0.2])})["layers.5.weight"]
         np.testing.assert_array_equal(out[0], [0.7, 0.7, 0.7, 0.2, 0.2, 0.2])
         assert np.array_equal(out[0], out[2])
 
     def test_ranking_matches_flat_broadcast_sort(self):
-        """Connection ranking equals an independent broadcast-then-sort oracle."""
+        """Regeneration over runs equals an independent broadcast-then-sort
+        oracle: six units with fan-in 4 feed a 2-row head, every weight is
+        pruned and |w| is equal, so the index breaks score ties."""
         rng = np.random.default_rng(11)
+        net = SpikingNetwork(linear_snn((4, 6, 2)), rng)
         scores = rng.uniform(0, 1, size=6)
-        w_shape = (6, 4)
-        fast = connection_scores(scores, w_shape).ravel()
-        brute = np.repeat(scores, 4)
-        assert np.array_equal(np.argsort(fast, kind="stable"),
-                              np.argsort(brute, kind="stable"))
+        runs = connection_runs(net)
+        conn = network_connection_scores(runs, {1: scores})
+        flat = np.concatenate([w.ravel() for w in per_weight_oracle(net, {1: scores}).values()])
+        brute = np.argsort(-flat, kind="stable")
+        for k in range(net.n_prunable + 1):
+            mask = np.zeros(net.n_prunable, dtype=bool)
+            chosen = regenerate(mask, np.zeros(mask.size), conn, runs.lengths,
+                                np.ones(mask.size), k)
+            assert chosen.tolist() == sorted(brute[:k].tolist())
 
     def test_network_mapping(self):
         rng = np.random.default_rng(12)
         net = SpikingNetwork(vgg_mini(channels=(2, 3)), rng)
-        net.forward(rng.normal(size=(2, 1, 8, 8)), training=True)
-        out = scored(net.lif_states())
-        table = CriticalityTable()
-        table.accumulate(out)
-        finalized = table.finalize()
-        conn = network_connection_scores(net, finalized)
-        assert conn.shape == (net.n_prunable,)
-        per_weight = net.split(conn)
+        finalized = recorded_scores(net, rng)
+        per_weight = expanded(net, finalized)
         assert set(per_weight) == {f"layers.{i}.weight" for i, l in enumerate(net.layers)
                                    if l.kind in ("conv", "linear")}
         # head rows repeat the last LIF's channel scores over spatial positions
@@ -185,6 +244,36 @@ class TestConnectionScores:
         last_lif = max(finalized)
         hw = head.shape[1] // finalized[last_lif].shape[0]
         np.testing.assert_array_equal(head[0], np.repeat(finalized[last_lif], hw))
+        oracle = per_weight_oracle(net, finalized)
+        for key, scores in per_weight.items():
+            np.testing.assert_array_equal(scores, oracle[key])
+
+    def test_network_mapping_linear_snn(self):
+        """A head after a flat LIF has runs of length 1: one per input feature."""
+        rng = np.random.default_rng(13)
+        net = SpikingNetwork(linear_snn((5, 4, 3)), rng)
+        runs = connection_runs(net)
+        assert runs.lengths.tolist() == [5] * 4 + [1] * 12
+        finalized = recorded_scores(net, rng)
+        per_weight = expanded(net, finalized)
+        np.testing.assert_array_equal(per_weight["layers.2.weight"],
+                                      np.tile(finalized[1], (3, 1)))
+        oracle = per_weight_oracle(net, finalized)
+        for key, scores in per_weight.items():
+            np.testing.assert_array_equal(scores, oracle[key])
+
+    def test_head_without_lif_scores_zero(self):
+        net = SpikingNetwork(linear_snn((4, 3)), np.random.default_rng(0))
+        assert connection_runs(net).lengths.tolist() == [12]
+        np.testing.assert_array_equal(expanded(net, {})["layers.0.weight"], np.zeros((3, 4)))
+
+    def test_missing_or_misshapen_scores_raise(self):
+        net = SpikingNetwork(vgg_mini(channels=(2, 3)), np.random.default_rng(0))
+        runs = connection_runs(net)
+        with pytest.raises(StateError, match="no scores for LIF layer 6"):
+            network_connection_scores(runs, {2: np.ones(2)})
+        with pytest.raises(StateError, match="3 scores vs 2 units"):
+            network_connection_scores(runs, {2: np.ones(3), 6: np.ones(3)})
 
     def test_rows_export(self):
         rows = scores_to_rows({2: np.array([0.5, 0.25])})

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import tiny_run
+from spikeprune.criticality import connection_runs, network_connection_scores
 from spikeprune.errors import ArgumentError
+from spikeprune.network import SpikingNetwork, vgg_mini
 from spikeprune.unstructured import (
     SparsitySchedule,
     current_sparsity,
@@ -180,6 +182,11 @@ class TestGlobalMagnitudePrune:
         assert abs(sparsity(mask) - 0.73) < 1.0 / 97
 
 
+def unit_runs(scores):
+    """One run of length 1 per score: the per-index layout."""
+    return np.ones(scores.size, dtype=np.intp)
+
+
 class TestRegenerate:
     def _setup(self, seed=2, n=10, pruned=6):
         rng = np.random.default_rng(seed)
@@ -196,13 +203,13 @@ class TestRegenerate:
     def test_k_zero_is_noop(self):
         w, mask, snap, scores = self._setup()
         before = mask.copy()
-        regenerate(mask, w, scores, snap, 0)
+        regenerate(mask, w, scores, unit_runs(scores), snap, 0)
         np.testing.assert_array_equal(mask, before)
 
     def test_k_exceeds_pruned(self):
         w, mask, snap, scores = self._setup(pruned=3)
         with pytest.raises(ArgumentError):
-            regenerate(mask, w, scores, snap, 4)
+            regenerate(mask, w, scores, unit_runs(scores), snap, 4)
 
     def test_full_regeneration_is_identity(self):
         """Pruning then regenerating everything just pruned undoes the prune."""
@@ -213,19 +220,21 @@ class TestRegenerate:
         snapshot = w.copy()
         newly = prune_global_magnitude(w, mask, 0.5)
         scores = rng.uniform(0, 1, size=12)
-        regenerate(mask, w, scores, snapshot, len(newly))
+        regenerate(mask, w, scores, unit_runs(scores), snapshot, len(newly))
         assert mask.sum() == 12
         np.testing.assert_array_equal(w, original)
 
     def test_matches_brute_force_triple_sort(self):
         """Regenerated set equals sorting (score desc, |w| desc, idx asc);
-        pairs of connections share a score, so the |w| tie-break decides."""
+        pairs of connections share a score (runs of 2), so the |w|
+        tie-break decides."""
         for seed in range(15):
             w, mask, snap, scores = self._setup(seed=seed + 10)
-            scores = np.repeat(scores[::2], 2)
+            pair_scores = scores[::2]
+            scores = np.repeat(pair_scores, 2)
             pruned = np.flatnonzero(~mask)
             k = len(pruned) // 2
-            chosen = regenerate(mask, w, scores, snap, k)
+            chosen = regenerate(mask, w, pair_scores, np.full(5, 2), snap, k)
             brute = sorted(
                 pruned,
                 key=lambda i: (-scores[i], -abs(snap[i]), i),
@@ -234,9 +243,81 @@ class TestRegenerate:
 
     def test_restores_snapshot_values(self):
         w, mask, snap, scores = self._setup(seed=5)
-        chosen = regenerate(mask, w, scores, snap, 2)
+        chosen = regenerate(mask, w, scores, unit_runs(scores), snap, 2)
         for i in chosen:
             assert w[i] == snap[i]
+
+
+def brute_force_regenerate(mask, snapshot, scores, lengths, k):
+    """Top k pruned flat indices by (-score, -|snapshot|, index) over the
+    per-weight expansion of the runs, ascending."""
+    dense = np.repeat(scores, lengths)
+    pruned = np.flatnonzero(~mask)
+    return sorted(sorted(pruned.tolist(),
+                         key=lambda i: (-dense[i], -abs(snapshot[i]), i))[:k])
+
+
+class TestRegenerateRuns:
+    """regenerate over the run layout of vgg_mini networks against a
+    brute-force sort of the per-weight scores. Layers are conv 0 (scored by
+    LIF 2), conv 4 (LIF 6) and the head 9, whose channel-c runs share LIF
+    6's channel-c score with conv 4's channel-c run."""
+
+    def _instance(self, rng, decimals=1):
+        widths = tuple(int(c) for c in rng.integers(2, 17, size=2))
+        net = SpikingNetwork(vgg_mini(channels=widths), np.random.default_rng(0))
+        runs = connection_runs(net)
+        finalized = {2: np.round(rng.uniform(0, 1, size=widths[0]), decimals),
+                     6: np.round(rng.uniform(0, 1, size=widths[1]), decimals)}
+        if rng.random() < 0.3:
+            finalized[2][:] = finalized[2][0]       # every unit of conv 0 ties
+        scores = network_connection_scores(runs, finalized)
+        snapshot = np.round(rng.normal(size=net.n_prunable), 1)
+        mask = rng.random(net.n_prunable) >= rng.uniform(0.2, 0.9)
+        return net, runs, scores, snapshot, mask, finalized
+
+    def _check(self, runs, scores, snapshot, mask, k):
+        got_mask, weights = mask.copy(), snapshot * mask
+        chosen = regenerate(got_mask, weights, scores, runs.lengths, snapshot, k)
+        assert chosen.tolist() == brute_force_regenerate(mask, snapshot, scores,
+                                                         runs.lengths, k)
+        expected = mask.copy()
+        expected[chosen] = True
+        np.testing.assert_array_equal(got_mask, expected)
+        np.testing.assert_array_equal(weights, snapshot * expected)
+
+    def test_k_zero_all_and_random(self):
+        rng = np.random.default_rng(21)
+        for trial in range(30):
+            net, runs, scores, snapshot, mask, _ = self._instance(rng)
+            pruned = int(np.count_nonzero(~mask))
+            k = (0, pruned, int(rng.integers(0, pruned + 1)))[trial % 3]
+            self._check(runs, scores, snapshot, mask, k)
+
+    def test_cut_inside_a_tie_group_across_conv_and_head(self):
+        rng = np.random.default_rng(22)
+        for trial in range(30):
+            net, runs, scores, snapshot, mask, finalized = self._instance(rng)
+            w0, w1 = finalized[2].size, finalized[6].size
+            c = int(rng.integers(w1))
+            cut = finalized[6][c]
+            starts = np.cumsum(runs.lengths) - runs.lengths
+            mask[starts[w0 + c]] = False            # conv 4, channel c
+            mask[starts[w0 + w1 + c]] = False       # head row 0, channel c
+            dense = np.repeat(scores, runs.lengths)
+            pruned = np.flatnonzero(~mask)
+            tie = pruned[dense[pruned] == cut]
+            head = starts[w0 + w1]
+            assert ((tie >= starts[w0]) & (tie < head)).any() and (tie >= head).any()
+            above = int(np.count_nonzero(dense[pruned] > cut))
+            self._check(runs, scores, snapshot, mask, above + tie.size // 2)
+
+    def test_k_exceeds_pruned(self):
+        rng = np.random.default_rng(23)
+        net, runs, scores, snapshot, mask, _ = self._instance(rng)
+        with pytest.raises(ArgumentError):
+            regenerate(mask, snapshot * mask, scores, runs.lengths, snapshot,
+                       int(np.count_nonzero(~mask)) + 1)
 
 
 class TestPruneLoop:
