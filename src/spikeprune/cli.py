@@ -64,9 +64,9 @@ def fix_allocator_thresholds():
     Fixed at the cap the adaptive rule reaches (trim at twice the mmap
     threshold, as that rule sets it), every array below 32 MiB comes from
     the heap whatever ran before. One arena serves every thread: the
-    inference workers and the training helper (spikeprune.cores) would
-    otherwise get arenas of their own, which the trim threshold never
-    shrinks. A no-op where mallopt is missing.
+    helper pool (spikeprune.cores) would otherwise get arenas of its own,
+    which the trim threshold never shrinks. A no-op where mallopt is
+    missing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

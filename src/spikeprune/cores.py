@@ -1,24 +1,29 @@
-"""The second core: a helper thread for the per-row kernels of a training step,
-core pinning, and OpenBLAS's thread count.
+"""Every thread the package runs: a pool of persistent helper threads, core
+pinning, and OpenBLAS's thread count.
 
-Inside `training()`, a kernel that calls `halves(kernel, n, size)` runs
-kernel(lo, hi) over two fixed halves of [0, n), [0, n // 2) and [n // 2, n):
-the caller and one persistent helper thread each take the next half nobody
-has taken yet. A kernel writing fewer than SHARE_MIN elements runs as one
-range on the caller. Outside a region, and in any thread but the one that
-opened it, the kernel runs as one range. Which pieces a call has depends
-only on its shape, and a kernel whose halves give its one-range result bit
-for bit gives it whoever ran which half, on one core or two. The helper
-starts on first use, never at import, and runs each half in a copy of the
-caller's context, so numpy's error state carries over.
+`share(kernel, pieces, also)` runs kernel(lo, hi) over each (lo, hi) of
+pieces: the caller and up to len(mask) - 1 persistent helpers each take the
+next piece nobody has taken yet, so a thread slowed by a busy core takes
+fewer. also(), if given, runs on the caller first. The helpers start on
+first use, never at import, and run each piece in a copy of the caller's
+context, so numpy's error state carries over. A kernel whose pieces write
+disjoint rows gives the same result whoever ran which piece, on one core or
+several. An inference forward shares its tiles this way (spikeprune.network).
 
-From the first shared call of a region to its end, the caller is pinned to
-the first core of its affinity mask and the helper to the second, and
-OpenBLAS runs one thread, so that two Python threads never contend with a
-BLAS pool for two cores. The masks of both threads and the BLAS count are
-restored when the region ends, also when it raises. On one core, where the host refuses the
-pinning, or where OpenBLAS's thread count is out of reach, both halves run
-on the caller.
+Inside `training()`, a kernel that calls `halves(kernel, n, size)` is shared
+as two fixed halves of [0, n), [0, n // 2) and [n // 2, n). A kernel writing
+fewer than SHARE_MIN elements runs as one range on the caller. Outside a
+region, and in any thread but the one that opened it, the kernel runs as one
+range. Which pieces a call has depends only on its shape.
+
+While pieces are shared, the caller is pinned to the first core of its
+affinity mask and helper k to core k, and OpenBLAS runs one thread, so that
+Python threads never contend with a BLAS pool for the cores. A training
+region holds this from its first shared call to its end; a share() call
+outside one holds it for itself. When it ends, also when a piece raises, the
+caller and every started helper get the caller's mask back, and OpenBLAS its
+count. On one core, where the host refuses the pinning, or where OpenBLAS's
+thread count is out of reach, the caller runs every piece.
 """
 
 from __future__ import annotations
@@ -68,18 +73,15 @@ def pin(cpu: int) -> bool:
 
 
 _blas_lock = threading.Lock()
-_blas_users = 0         # open second_thread() blocks, in any thread
+_blas_users = 0         # open regions that share pieces, in any thread
 _blas_count = None      # OpenBLAS's thread count before the first of them
 
 
 @contextlib.contextmanager
-def second_thread():
-    """For a block that runs Python threads on two or more cores: OpenBLAS at
-    one thread, then the caller's affinity mask as before, and OpenBLAS's
-    count as before the first of the blocks open in any thread. Yields the
-    caller's cores in order."""
+def _one_blas_thread():
+    """OpenBLAS at one thread; the count as before the first of the blocks
+    open in any thread comes back when the last of them ends."""
     global _blas_users, _blas_count
-    mask = os.sched_getaffinity(0)
     get, put = BLAS
     with _blas_lock:
         if not _blas_users:
@@ -87,22 +89,20 @@ def second_thread():
             put(1)
         _blas_users += 1
     try:
-        yield sorted(mask)
+        yield
     finally:
         with _blas_lock:
             _blas_users -= 1
             if not _blas_users:
                 put(_blas_count)
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, mask)
 
 
 class _Job:
-    """One halves() call: its pieces go to whichever thread asks first."""
+    """One share() call: its pieces go to whichever thread asks first."""
 
-    def __init__(self, kernel, pieces, cpu):
+    def __init__(self, kernel, pieces, cpus):
         self.kernel = kernel
-        self.cpu = cpu
+        self.cpus = cpus
         self.context = contextvars.copy_context()
         self._pending = iter(pieces)
         self._left = len(pieces)
@@ -140,26 +140,21 @@ class _Job:
 
 
 class _Helper:
-    """The persistent helper thread: it runs the pieces it takes from each
-    job, pinned to the core the job names from its first piece on."""
+    """Persistent helper k (the caller is thread 0): it runs the pieces it
+    takes from each job, pinned to the job's core k from its first piece on."""
 
-    def __init__(self):
+    def __init__(self, k: int):
+        self.k = k
         self.jobs = queue.SimpleQueue()
-        self.thread = threading.Thread(target=self._loop, name="spikeprune-helper", daemon=True)
+        self.thread = threading.Thread(target=self._loop, name=f"spikeprune-helper-{k}",
+                                       daemon=True)
         self.thread.start()
 
     def _loop(self):
         while True:
             job = self.jobs.get()
-            job.work(job.context.run, job.cpu)
+            job.work(job.context.copy().run, job.cpus[self.k])
             job = None      # the kernel's arrays are the caller's to free
-
-    def release(self, mask):
-        """Give the idle helper the caller's mask back. Left pinned between
-        training steps, it cost the evaluations that followed 5-15% on the
-        2-vCPU benchmark host (desk_regen, six interleaved rounds)."""
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(self.thread.native_id, mask)
 
 
 # Elements below which a kernel runs as one range on the caller: waking the
@@ -169,44 +164,54 @@ class _Helper:
 # net at batch 8 0.80x and the desk net at batch 128 0.71x (one process,
 # interleaved, OpenBLAS at one thread).
 SHARE_MIN = 1 << 17
-_helper = None
+_pool: list[_Helper] = []           # helper k at _pool[k - 1]
 _start_lock = threading.Lock()
 _local = threading.local()          # .region: this thread's open training region
 
 
-def _the_helper() -> _Helper:
-    global _helper
+def _helpers(count: int) -> list:
+    """Helpers 1 to count, started on first use."""
     with _start_lock:
-        if _helper is None:
-            _helper = _Helper()
-        return _helper
+        while len(_pool) < count:
+            _pool.append(_Helper(len(_pool) + 1))
+        return _pool[:count]
+
+
+def _give_back(mask):
+    """The caller's mask to it and to every started helper. Left pinned
+    between training steps, the helper cost the evaluations that followed
+    5-15% on the 2-vCPU benchmark host (desk_regen, six interleaved rounds)."""
+    for tid in [0] + [h.thread.native_id for h in list(_pool)]:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(tid, mask)
 
 
 class _Region:
-    """One training() block. The caller is pinned, and OpenBLAS set to one
-    thread, on the first halves() call that shares its work."""
+    """Where shared pieces run pinned: one training() block, or one share()
+    call outside such a block. The caller is pinned, and OpenBLAS set to one
+    thread, on the first call that shares its pieces."""
 
     def __init__(self, stack: contextlib.ExitStack):
         self.stack = stack
-        self.started = False
-        self.cpu = None             # the helper's core, or None: the caller runs all
+        self.cpus = None        # sorted mask, the caller on its first core; [] if it runs all
 
-    def helper_cpu(self):
-        if not self.started:
-            self.started = True
+    def cores(self) -> list:
+        if self.cpus is None:
+            self.cpus = []
             mask = os.sched_getaffinity(0)
             if BLAS is not None and len(mask) > 1:
-                cpus = sorted(self.stack.enter_context(second_thread()))
-                if pin(cpus[0]):
-                    self.cpu = cpus[1]
-                    self.stack.callback(_the_helper().release, mask)
-        return self.cpu
+                self.stack.enter_context(_one_blas_thread())
+                self.stack.callback(_give_back, mask)
+                if pin(min(mask)):
+                    self.cpus = sorted(mask)
+        return self.cpus
 
 
 @contextlib.contextmanager
 def training():
-    """Run the block's halves() calls as two halves each, on two cores where
-    the host allows (module docstring). A nested region is the outer one.
+    """Run the block's halves() calls as two halves each, shared with the
+    helpers where the host allows (module docstring). A nested region is the
+    outer one.
 
     The block's results are those of the block run on the caller alone with
     OpenBLAS at one thread, bit for bit. Under a multi-threaded OpenBLAS they
@@ -225,14 +230,35 @@ def training():
             _local.region = None
 
 
+def share(kernel, pieces, also=None):
+    """kernel(lo, hi) over each (lo, hi) of pieces, shared between the caller
+    and the helpers (module docstring); also(), if given, runs on the caller
+    first, while the helpers take pieces. One piece and no also() run on the
+    caller. Returns after every piece has run; the error of the earliest
+    piece that failed, or else also()'s, is raised then."""
+    threads = len(pieces) + (also is not None)
+    with contextlib.ExitStack() as stack:
+        region = getattr(_local, "region", None) or _Region(stack)
+        cpus = region.cores() if threads > 1 else []
+        job = _Job(kernel, pieces, cpus)
+        for helper in _helpers(min(len(cpus), threads) - 1) if cpus else ():
+            helper.jobs.put(job)
+        try:
+            if also is not None:
+                also()
+        finally:
+            job.work()
+            job.done.acquire()
+            if job.errors:
+                raise job.errors[min(job.errors)]
+
+
 def halves(kernel, n: int, size: int, also=None, split: bool = True):
-    """kernel(lo, hi) over [0, n): in a training region as two halves, else
-    as one range on the caller. It is one range also where split is False
-    or size, the element count of the largest array the kernel writes over
-    [0, n), is below SHARE_MIN: a rule on the shape alone. also(), if given,
-    runs on the caller first, while the helper takes a piece. Returns after
-    every piece has run; the error of the earliest piece that failed, or
-    else also()'s, is raised then."""
+    """kernel(lo, hi) over [0, n): in a training region shared as two halves,
+    else as one range on the caller. It is one range also where split is
+    False or size, the element count of the largest array the kernel writes
+    over [0, n), is below SHARE_MIN: a rule on the shape alone. also() and
+    errors are as in share()."""
     region = getattr(_local, "region", None)
     if region is None or size < SHARE_MIN or (also is None and not split):
         if also is not None:
@@ -240,15 +266,4 @@ def halves(kernel, n: int, size: int, also=None, split: bool = True):
         kernel(0, n)
         return
     mid = n // 2 if split else 0
-    cpu = region.helper_cpu()
-    job = _Job(kernel, [p for p in ((0, mid), (mid, n)) if p[1] > p[0]], cpu)
-    if cpu is not None:
-        _the_helper().jobs.put(job)
-    try:
-        if also is not None:
-            also()
-    finally:
-        job.work()
-        job.done.acquire()
-        if job.errors:
-            raise job.errors[min(job.errors)]
+    share(kernel, [p for p in ((0, mid), (mid, n)) if p[1] > p[0]], also)

@@ -16,13 +16,8 @@ LIF layer (conv layers through a batch-norm).
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import copy
-import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,12 +40,11 @@ WEIGHTED_KINDS = ("conv", "linear")
 # An inference forward runs the whole layer stack on one tile of samples before
 # starting the next, so that a tile's transients stay near cache size: its
 # biggest activation gets about half of a 2 MiB per-core L2. The tiles are
-# shared among threads, one per core, each pinned to its own core: a new or
+# shared with the pinned helper threads of spikeprune.cores: a new or
 # just-woken thread starts on its caller's core and the kernel takes
 # milliseconds to move it, so unpinned, a short forward ran its threads one
 # after the other. A training forward is one tile of the whole batch; its
-# kernels split their rows in halves between the caller and a helper thread
-# instead (spikeprune.cores).
+# kernels split their rows in halves with the helpers instead.
 TILE_BYTES = 1 << 20
 # Arena position of each parameter name: weights, then biases, then BN affine.
 _ARENA_RANK = {"weight": 0, "bias": 1, "gamma": 2, "beta": 2}
@@ -178,15 +172,6 @@ def inference_tile(spec: NetworkSpec) -> int:
     return 1 << (max(TILE_BYTES // per_sample, 1).bit_length() - 1)
 
 
-def inference_threads(tiles: int) -> int:
-    """Threads an inference forward of `tiles` tiles runs on: one per core the
-    process may run on, but no more than there are tiles; one where
-    OpenBLAS's thread count is out of reach (cores.BLAS)."""
-    if cores.BLAS is None:
-        return 1
-    return max(min(len(os.sched_getaffinity(0)), tiles), 1)
-
-
 def validate_spec(spec: NetworkSpec):
     """Shape composition plus the fire-placement rule.
 
@@ -223,11 +208,10 @@ class SpikingNetwork:
 
     Single-writer: forward/backward mutate cached state and must not run
     concurrently on one instance. Read-only evaluation of distinct instances
-    is independent. An inference forward's worker threads (see forward)
-    finish before it returns, and only read the shared parameters. In a
-    training forward or backward, the helper thread (spikeprune.cores)
-    writes only its half's rows of the arrays a kernel allocated, and each
-    kernel waits for it before it returns.
+    is independent. The helper threads of spikeprune.cores write only the
+    rows of their pieces: an inference forward's tiles, which only read the
+    shared parameters, or the halves of a training kernel's arrays. Each
+    forward and kernel waits for its pieces before it returns.
     """
 
     def __init__(self, spec: NetworkSpec, rng: np.random.Generator):
@@ -402,22 +386,18 @@ class SpikingNetwork:
 
         A training forward, like backward, runs in a cores.training()
         region: each per-row kernel of its layers runs as two fixed halves,
-        the caller taking one and the pinned helper thread the other; the
-        kernels that couple the batch, the head, and the loss stay whole on
-        the caller. The halves give the whole-batch results bit for bit.
+        shared with a pinned helper thread; the kernels that couple the batch,
+        the head, and the loss stay whole on the caller. The halves give the
+        whole-batch results bit for bit.
 
-        Inference runs on inference_threads threads, with OpenBLAS at one
-        thread while there are two or more. Each takes the next tile not yet
-        taken, so a thread slowed by a busy core takes fewer; workers run
-        shallow layer copies, which share the parameter arrays, and the
-        caller runs `layers` and keeps the last tile for itself. Thread k
-        (the caller is 0) is pinned to core k mod cores of the caller's
-        affinity mask; the mask and OpenBLAS's thread count are restored at
-        the end, and where the host refuses the pinning the threads run
-        unpinned. Inference never hands halves to the helper. It waits for
-        every thread before it returns or raises the error of the earliest
-        tile that failed. A tile writes only its own rows, so no result
-        depends on the number of threads or on who ran which tile.
+        Inference shares its tiles with the helper threads (cores.share):
+        each thread takes the next tile not yet taken, so a thread slowed by a
+        busy core takes fewer. Those tiles run on shallow layer copies, which
+        share the parameter arrays; the caller runs the last tile on `layers`,
+        so their caches hold it. Inference never splits halves. It waits for
+        every tile before it returns or raises the error of the earliest tile
+        that failed. A tile writes only its own rows, so no result depends on
+        the number of threads or on who ran which tile.
         """
         t = self.spec.t_steps
         x = self._checked_input(x)
@@ -430,50 +410,34 @@ class SpikingNetwork:
         logits = np.empty((n, head.out_features))
         starts = range(0, n, step)
         self._tiles = len(starts)
-        pending = iter(starts[:-1])     # tiles for whichever thread is free
-        lock = threading.Lock()
-        errors = {}                     # tile start -> the error it raised
         lifs = self.lif_indices()
-        threads = 1 if training else inference_threads(len(starts))
+        spare = []          # shallow layer copies for shared tiles, one per thread
 
-        def take():
-            with lock:
-                return next(pending, None)
+        def tile(lo, hi):
+            try:        # one list call each, so pop and append need no lock
+                layers = self.layers if hi == n else spare.pop()
+            except IndexError:
+                layers = [copy.copy(l) for l in self.layers]
+            rows = slice(lo, hi)
+            acts = self.layer_input(x[rows])[None]
+            for i, layer in enumerate(layers):
+                if i == self._first_lif:
+                    acts = np.broadcast_to(acts, (t,) + acts.shape[1:])
+                if i == self._head_index:
+                    np.mean(acts, axis=0, out=self.features[rows])
+                acts = layer.forward(acts, training)
+            np.mean(acts, axis=0, out=logits[rows])
+            if on_tile is not None:
+                on_tile(rows, {i: layers[i].state for i in lifs})
+            if layers is not self.layers:
+                spare.append(layers)
 
-        def run(layers, last, k):
-            if cpus:    # thread k (the caller is 0) on cpus[k mod cores], best effort
-                cores.pin(cpus[k % len(cpus)])
-            for lo in itertools.chain(iter(take, None), last):
-                rows = slice(lo, lo + step)
-                try:
-                    acts = self.layer_input(x[rows])[None]
-                    for i, layer in enumerate(layers):
-                        if i == self._first_lif:
-                            acts = np.broadcast_to(acts, (t,) + acts.shape[1:])
-                        if i == self._head_index:
-                            np.mean(acts, axis=0, out=self.features[rows])
-                        acts = layer.forward(acts, training)
-                    np.mean(acts, axis=0, out=logits[rows])
-                    if on_tile is not None:
-                        on_tile(rows, {i: layers[i].state for i in lifs})
-                except BaseException as exc:    # re-raised by the caller
-                    errors[lo] = exc
-                    return
-
-        workers = [threading.Thread(target=contextvars.copy_context().run,
-                                    args=(run, [copy.copy(l) for l in self.layers], (), k))
-                   for k in range(1, threads)]
-        with (cores.training() if training else
-              cores.second_thread() if workers else contextlib.nullcontext()) as cpus:
-            for w in workers:
-                w.start()
-            try:
-                run(self.layers, starts[-1:], 0)
-            finally:
-                for w in workers:
-                    w.join()
-        if errors:
-            raise errors[min(errors)]
+        if training:
+            with cores.training():
+                tile(0, n)
+        else:
+            cores.share(tile, [(lo, lo + step) for lo in starts[:-1]],
+                        lambda: tile(starts[-1], n))
         self._t_out = t if self._first_lif < len(self.layers) else 1
         return logits
 

@@ -1,11 +1,13 @@
 """Training steps on two cores: every per-row kernel of a training forward and
 backward runs as two fixed halves, one of them on a pinned helper thread, and
-gives the caller-only step's results bit for bit."""
+gives the caller-only step's results bit for bit. The same pool of helpers
+runs the tiles of inference forwards."""
 
 import contextlib
 import itertools
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +19,13 @@ from spikeprune.network import SpikingNetwork, vgg_mini
 from spikeprune.optim import SGD, TrainConfig, loss_ce_l1
 
 TWO_CORES = len(os.sched_getaffinity(0)) > 1 and cores.BLAS is not None
+# The pool's helpers this process's mask allows: helper k runs on its k-th core.
+HELPERS = {f"spikeprune-helper-{k}" for k in range(1, len(os.sched_getaffinity(0)))}
+
+
+def helper_threads():
+    """The pool's helper threads started so far."""
+    return [t for t in threading.enumerate() if t.name.startswith("spikeprune-helper-")]
 
 
 @pytest.fixture
@@ -97,7 +106,7 @@ def test_two_threads_give_the_one_thread_step(monkeypatch, helper_pieces, channe
     with monkeypatch.context() as m:
         caller_only(m)
         alone = steps(channels, batch, relaxed)
-    assert set(helper_pieces) <= {threading.current_thread().name, "spikeprune-helper"}
+    assert set(helper_pieces) <= {threading.current_thread().name} | HELPERS
     with monkeypatch.context() as m:
         no_region(m)
         whole = steps(channels, batch, relaxed)
@@ -105,7 +114,7 @@ def test_two_threads_give_the_one_thread_step(monkeypatch, helper_pieces, channe
         np.testing.assert_array_equal(a, c)
         np.testing.assert_array_equal(b, c)
     if TWO_CORES and share_min == 0 and batch >= 8:
-        assert "spikeprune-helper" in by_thread
+        assert by_thread & HELPERS
 
 
 @pytest.mark.skipif(not TWO_CORES, reason="the helper runs only on two cores")
@@ -176,7 +185,7 @@ class TestRegionState:
 
     def test_step_restores_mask_and_blas(self, monkeypatch, blas_two):
         """Halves run with OpenBLAS at one thread; after the step, the
-        caller's and the helper's masks and the BLAS count are as before."""
+        caller's and every helper's masks and the BLAS count are as before."""
         monkeypatch.setattr(cores, "SHARE_MIN", 0)
         seen = []
         real = cores._Job.work
@@ -194,7 +203,9 @@ class TestRegionState:
         assert os.sched_getaffinity(0) == mask and cores.BLAS[0]() == blas_two
         if TWO_CORES:
             assert seen and set(seen) == {1}
-            assert os.sched_getaffinity(cores._helper.thread.native_id) == mask
+            assert helper_threads()
+            for helper in helper_threads():
+                assert os.sched_getaffinity(helper.native_id) == mask
 
     def test_nan_in_the_helper_half_ends_in_the_trainer_error(self, monkeypatch,
                                                               helper_pieces, blas_two):
@@ -214,7 +225,7 @@ class TestRegionState:
         trainer.train_step(data.x_train, data.y_train, 0.05)
         assert os.sched_getaffinity(0) == mask and cores.BLAS[0]() == blas_two
         if TWO_CORES:
-            assert "spikeprune-helper" in helper_pieces
+            assert set(helper_pieces) & HELPERS
 
     def test_error_in_a_helper_piece_waits_for_every_piece(self, monkeypatch):
         """Each piece fails; the earliest piece's error is raised after both
@@ -233,25 +244,37 @@ class TestRegionState:
 
     @pytest.mark.skipif(not TWO_CORES, reason="the helper runs only on two cores")
     def test_a_job_the_caller_finished_leaves_the_helper_unpinned(self):
-        """The caller runs both pieces while the helper is busy, and the
-        region ends; the helper then takes the spent job from its queue. Once
-        the queue drains, the helper's mask is the caller's, not one core."""
-        helper = cores._the_helper()
-        go = threading.Event()
-        busy = cores._Job(lambda lo, hi: go.wait(10), [(0, 1)], None)
-        helper.jobs.put(busy)
-        ran = []
+        """Another thread keeps helper 1 busy in a share() call. The caller
+        runs both halves of its own call meanwhile, and its region ends; once
+        released, helper 1 finishes the other call and then takes the spent
+        job from its queue. It stays idle with a caller's mask, not one core."""
+        go, busy, errors = threading.Event(), threading.Event(), []
+
+        def hold(lo, hi):
+            busy.set()
+            go.wait(10)
+
+        def other():
+            try:        # both pieces wait, so the helper takes one of them
+                cores.share(hold, [(0, 1), (1, 2)])
+            except BaseException as exc:
+                errors.append(exc)
+
         mask = os.sched_getaffinity(0)
+        holder = threading.Thread(target=other)
+        holder.start()
+        ran = []
         try:
+            assert busy.wait(10)
             with cores.training():
                 cores.halves(lambda lo, hi: ran.append((lo, hi)), 10, cores.SHARE_MIN)
         finally:
             go.set()
-        assert ran == [(0, 5), (5, 10)]
-        drained = cores._Job(lambda lo, hi: None, [(0, 1)], None)
-        helper.jobs.put(drained)
-        assert drained.done.acquire(timeout=10)
-        assert os.sched_getaffinity(helper.thread.native_id) == mask
+            holder.join(10)
+        assert not holder.is_alive() and ran == [(0, 5), (5, 10)] and errors == []
+        time.sleep(0.2)     # the helper dequeues the spent job within microseconds
+        for helper in helper_threads():
+            assert os.sched_getaffinity(helper.native_id) == mask
 
     def test_refused_pinning_runs_both_halves_on_the_caller(self, monkeypatch, helper_pieces):
         """A sched_setaffinity that raises: same results, all on the caller."""
@@ -265,7 +288,7 @@ class TestRegionState:
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
         helper_pieces.clear()
         refused = steps((4, 8), 16, False, n_steps=2)
-        assert helper_pieces and "spikeprune-helper" not in helper_pieces
+        assert helper_pieces and not set(helper_pieces) & HELPERS
         assert os.sched_getaffinity(0) == mask
         for a, b in zip(pinned, refused):
             np.testing.assert_array_equal(a, b)
@@ -273,13 +296,15 @@ class TestRegionState:
 
 def test_without_blas_control_no_second_thread(monkeypatch, helper_pieces):
     """Where no OpenBLAS thread-count symbol resolves, a training step runs
-    both halves on the caller and inference stays on one thread."""
-    from spikeprune import network
+    both halves on the caller, and an inference forward every tile."""
     monkeypatch.setattr(cores, "BLAS", None)
     monkeypatch.setattr(cores, "SHARE_MIN", 0)
     steps((4, 8), 16, False, n_steps=1)
-    assert helper_pieces and "spikeprune-helper" not in helper_pieces
-    assert network.inference_threads(100) == 1
+    assert helper_pieces and not set(helper_pieces) & HELPERS
+    helper_pieces.clear()
+    net = SpikingNetwork(vgg_mini(channels=(4, 8)), np.random.default_rng(0))
+    net.forward(np.zeros((4 * net.tile, 1, 8, 8)))
+    assert helper_pieces == [threading.current_thread().name] * 3
 
 
 def test_pieces_run_once_under_fast_switching():
@@ -314,3 +339,82 @@ def test_pieces_run_once_under_fast_switching():
     assert (cores.BLAS and cores.BLAS[0]()) == blas
     for c in counts:
         np.testing.assert_array_equal(c, 200)
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+def test_two_callers_share_the_pool(monkeypatch):
+    """One thread runs multi-tile eval forwards while another runs shared
+    training steps, both through the one pool: each gives its serial results
+    bit for bit, and afterwards both callers and every helper have the mask
+    as before, and OpenBLAS (a stand-in that records its count) its count."""
+    monkeypatch.setattr(cores, "SHARE_MIN", 0)
+    net = SpikingNetwork(vgg_mini(channels=(12, 24)), np.random.default_rng(3))
+    x = np.random.default_rng(4).normal(size=(7 * net.tile + 3, 1, 8, 8))
+    serial = {"eval": [net.forward(x)] * 20, "train": steps((12, 24), 16, False, n_steps=8)}
+    count = [3]
+    monkeypatch.setattr(cores, "BLAS", (lambda: count[0], lambda c: count.__setitem__(0, c)))
+    work = {"eval": lambda: [net.forward(x) for _ in range(20)],
+            "train": lambda: steps((12, 24), 16, False, n_steps=8)}
+    mask, out, errors = os.sched_getaffinity(0), {}, []
+
+    def caller(name):
+        try:
+            out[name] = work[name]()
+            out[name + " mask"] = os.sched_getaffinity(0)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=caller, args=(name,)) for name in work]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(120)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    for name, expected in serial.items():
+        assert len(out[name]) == len(expected) and out[name + " mask"] == mask
+        for a, b in zip(out[name], expected):
+            np.testing.assert_array_equal(a, b)
+    assert count == [3]
+    for helper in helper_threads():
+        assert os.sched_getaffinity(helper.native_id) == mask
+
+
+@pytest.mark.skipif(not TWO_CORES, reason="the helpers run only on two cores")
+def test_every_helper_gets_the_callers_mask_back(monkeypatch):
+    """A helper is pinned to a core of its own while it runs a tile of a
+    multi-tile eval forward or a half of a shared training step; after
+    either, every helper's mask is the caller's."""
+    mask, me = os.sched_getaffinity(0), threading.current_thread()
+    pinned, helper_ran = [], threading.Event()
+    work = cores._Job.work
+
+    def noting(job, call=None, cpu=None):
+        def note(kernel, lo, hi):
+            if threading.current_thread() is not me:
+                pinned.append(os.sched_getaffinity(0))
+            (kernel(lo, hi) if call is None else call(kernel, lo, hi))
+        work(job, note, cpu)
+
+    def on_tile(rows, states):      # the caller waits until a helper has run a tile
+        if threading.current_thread() is me:
+            helper_ran.wait(10)
+        else:
+            helper_ran.set()
+
+    monkeypatch.setattr(cores._Job, "work", noting)
+    net = SpikingNetwork(vgg_mini(channels=(12, 24)), np.random.default_rng(5))
+    net.forward(np.zeros((4 * net.tile, 1, 8, 8)), on_tile=on_tile)
+    assert helper_ran.is_set() and pinned and all(len(m) == 1 and m < mask for m in pinned)
+    for helper in helper_threads():
+        assert os.sched_getaffinity(helper.native_id) == mask
+    monkeypatch.setattr(cores, "SHARE_MIN", 0)
+    pinned.clear()
+    _, trainer, data = tiny_run(seed=2, n_train=16, batch=16)
+    for _ in range(5):      # until a helper has taken a half
+        trainer.train_step(data.x_train, data.y_train, 0.05)
+        if pinned:
+            break
+    assert pinned and all(len(m) == 1 and m < mask for m in pinned)
+    assert os.sched_getaffinity(0) == mask
+    for helper in helper_threads():
+        assert os.sched_getaffinity(helper.native_id) == mask

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import save_v1, tiny_run
-from spikeprune import checkpoint, layers, network, ops
+from spikeprune import checkpoint, cores, layers, ops
 from spikeprune.analysis import extract_features
 from spikeprune.errors import DimensionError, NumericError, StateError
 from spikeprune.layers import LIF, BatchNorm2d, Conv2d, LIFParams, lif_step, surrogate_gprime
@@ -252,39 +252,83 @@ class TestInferenceTiles:
                 assert net.grad.any()
 
 
+def helper_names(k):
+    """Names of the pool's helpers that a k-core mask may use."""
+    return {f"spikeprune-helper-{j}" for j in range(1, k)}
+
+
+def helper_threads():
+    """The pool's helper threads started so far."""
+    return [t for t in threading.enumerate() if t.name.startswith("spikeprune-helper-")]
+
+
 class TestInferenceThreads:
-    """An inference forward shares its tiles among worker threads."""
+    """An inference forward shares its tiles with the persistent helpers of
+    spikeprune.cores: one thread per core of the affinity mask, the caller
+    included, but no more threads than tiles."""
 
     @pytest.fixture
     def started(self, monkeypatch):
-        """Records every worker thread a forward starts."""
-        threads = []
+        """Names of the threads started during the test."""
+        names = []
+        start = threading.Thread.start
 
-        class Recording(threading.Thread):
-            def start(self):
-                threads.append(self)
-                super().start()
+        def recording(thread):
+            names.append(thread.name)
+            start(thread)
 
-        monkeypatch.setattr(network.threading, "Thread", Recording)
-        return threads
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        return names
+
+    @pytest.fixture
+    def fake_mask(self, monkeypatch):
+        """fake(k): the process sees the affinity mask {0, ..., k - 1}, and each
+        affinity change is recorded in fake.pins as (thread name, pid, sorted
+        cpus) instead of made."""
+        pins = []
+
+        def fake(k):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+            monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(
+                (threading.current_thread().name, pid, sorted(cpus))))
+
+        fake.pins = pins
+        return fake
 
     @staticmethod
-    def force(monkeypatch, threads):
-        monkeypatch.setattr(network, "inference_threads", lambda tiles: threads)
+    def threads_of(net, x, expected):
+        """Names of the threads that ran the tiles of an eval forward of x;
+        each waits in its first tile until `expected` threads have run one."""
+        seen, arrived = set(), threading.Condition()
+
+        def on_tile(rows, states):
+            with arrived:
+                name = threading.current_thread().name
+                if name not in seen:
+                    seen.add(name)
+                    arrived.notify_all()
+                    arrived.wait_for(lambda: len(seen) >= expected, timeout=10)
+
+        net.forward(x, training=False, on_tile=on_tile)
+        return seen
 
     @pytest.mark.parametrize("channels", [(12, 24), (64, 128)])
-    def test_thread_count_changes_no_result(self, monkeypatch, started, channels):
+    def test_thread_count_changes_no_result(self, fake_mask, started, channels):
         """Logits, features and the data-set criticality table are bit-identical
-        on 1, 2 and 3 threads, with a ragged last tile."""
+        on 1-, 2- and 3-core masks, with a ragged last tile. Only a first
+        forward on a wider mask starts a thread: a helper that mask may use,
+        started once."""
         net, rng = _eval_net(channels, seed=31)
         x = 2.0 * rng.normal(size=(7 * net.tile + 3, 1, 8, 8))
         results = []
-        for threads in (1, 2, 3):
-            self.force(monkeypatch, threads)
+        for k in (1, 2, 3):
+            fake_mask(k)
             logits = net.forward(x, training=False)
+            first = list(started)
             scores = criticality_over_dataset(net, x, 3 * net.tile // 2 + 1)
             results.append((logits, extract_features(net, x), scores))
-        assert len(started) == 3 * (1 + 2)
+            assert started == first and set(started) <= helper_names(k)
+        assert len(started) == len(set(started))
         for logits, features, scores in results[1:]:
             np.testing.assert_array_equal(logits, results[0][0])
             np.testing.assert_array_equal(features, results[0][1])
@@ -292,82 +336,91 @@ class TestInferenceThreads:
             for key, got in scores.items():
                 np.testing.assert_array_equal(got, results[0][2][key])
 
-    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch, started):
-        """Eight threads with a 1 us switch interval: every tile runs once and
-        its rows equal the serial forward's."""
+    def test_more_threads_than_cores_under_fast_switching(self, fake_mask, started):
+        """Three threads on a faked 3-core mask, more than a 2-core host has,
+        with a 1 us switch interval: every tile runs once and its rows equal
+        the serial forward's; no forward after the first starts a thread."""
         net, rng = _eval_net((4, 8), seed=36)
         x = rng.normal(size=(11 * net.tile + 5, 1, 8, 8))
-        self.force(monkeypatch, 1)
+        fake_mask(1)
         serial = net.forward(x, training=False)
-        self.force(monkeypatch, 8)
+        fake_mask(3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(3):
+            for round_ in range(3):
                 ran = []
                 logits = net.forward(x, training=False,
                                      on_tile=lambda rows, states: ran.append(rows.start))
                 np.testing.assert_array_equal(logits, serial)
                 assert sorted(ran) == list(range(0, len(x), net.tile))
+                if round_ == 0:
+                    first = list(started)
         finally:
             sys.setswitchinterval(interval)
-        assert len(started) == 3 * 7 and not any(t.is_alive() for t in started)
+        assert started == first and set(started) <= helper_names(3)
 
-    def test_caller_runs_the_last_tile(self, monkeypatch):
-        """The network's own caches hold the last tile, as after a serial
-        forward, and the caller's affinity mask is as before."""
+    def test_caller_runs_the_last_tile(self):
+        """The caller runs the last tile, so the network's own caches hold it,
+        as after a serial forward, and the caller's affinity mask is as before."""
         net, rng = _eval_net((4, 8), seed=32)
-        self.force(monkeypatch, 2)
         x = rng.normal(size=(3 * net.tile + 1, 1, 8, 8))
         mask = os.sched_getaffinity(0)
-        net.forward(x, training=False)
+        ran = {}
+        net.forward(x, training=False, on_tile=lambda rows, states: ran.__setitem__(
+            rows.start, threading.current_thread().name))
         assert os.sched_getaffinity(0) == mask
+        assert ran[3 * net.tile] == threading.current_thread().name
         last = [net.layers[i].state.h for i in net.lif_indices()]
         net.forward(x[-1:], training=False)
         for i, h in zip(net.lif_indices(), last):
             np.testing.assert_array_equal(h, net.layers[i].state.h)
 
-    def test_thread_count_rule(self, monkeypatch):
-        """One thread per core, but no more threads than tiles."""
-        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0, 1})
-        assert [network.inference_threads(n) for n in (1, 2, 3, 10, 160)] == [1, 2, 2, 2, 2]
-        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0, 2, 5})
-        assert [network.inference_threads(n) for n in (1, 2, 3, 160)] == [1, 2, 3, 3]
-        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0})
-        assert network.inference_threads(160) == 1
+    @pytest.mark.skipif(cores.BLAS is None, reason="OpenBLAS's thread count is out of reach")
+    def test_thread_count_rule(self, fake_mask):
+        """One thread per core, the caller included, but no more threads than
+        tiles; the helpers are the first ones of the pool."""
+        net, rng = _eval_net((4, 8), seed=39)
+        me = threading.current_thread().name
+        for k, tiles, threads in [(2, 1, 1), (2, 2, 2), (2, 3, 2), (2, 10, 2), (3, 1, 1),
+                                  (3, 2, 2), (3, 3, 3), (3, 10, 3), (1, 10, 1)]:
+            fake_mask(k)
+            names = self.threads_of(net, rng.normal(size=(tiles * net.tile, 1, 8, 8)), threads)
+            assert names == {me} | helper_names(threads), (k, tiles)
 
-    def test_below_the_thread_minimum_starts_no_worker(self, monkeypatch, started):
-        """A one-tile eval forward starts no worker and pins nothing; a
-        training forward starts no inference worker, pins the caller to the
-        first core and the helper to the second for its halves, then gives
-        both the mask back; a two-tile eval forward pins both threads and
-        restores."""
-        caller, pins = threading.get_ident(), []
-        monkeypatch.setattr(network.os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(network.os, "sched_setaffinity",
-                            lambda pid, cpus: pins.append((threading.get_ident(), pid, cpus)))
+    @pytest.mark.skipif(cores.BLAS is None, reason="OpenBLAS's thread count is out of reach")
+    def test_below_the_thread_minimum_starts_no_worker(self, fake_mask, started):
+        """On a faked 2-core mask, a one-tile eval forward starts no thread and
+        pins nothing. A training forward pins the caller to the first core and
+        helper 1 to the second for its halves; a two-tile eval forward does the
+        same for its tiles. Each gives the caller and every helper the mask
+        back at its end."""
+        me = threading.current_thread().name
+        fake_mask(2)
+        pins = fake_mask.pins
         net, rng = _eval_net((4, 8), seed=33)
         net.forward(rng.normal(size=(net.tile, 1, 8, 8)), training=False)
         assert started == [] and pins == []
         net.forward(rng.normal(size=(32 * net.tile, 1, 8, 8)), training=True)
-        assert [t for t in started if t.name != "spikeprune-helper"] == []
-        mine = [(pid, sorted(c)) for who, pid, c in pins if who == caller]
-        assert [c for pid, c in mine if pid == 0] == [[0], [0, 1]]
-        assert [c for pid, c in mine if pid != 0] == [[0, 1]]     # the helper's, given back
-        assert all(c == {1} for who, _, c in pins if who != caller)
+        assert set(started) <= {"spikeprune-helper-1"}
+        given_back = [[0, 1]] * len(helper_threads())
+        assert [c for who, pid, c in pins if who == me and pid == 0] == [[0], [0, 1]]
+        assert [c for who, pid, c in pins if who == me and pid != 0] == given_back
+        assert all((who, c) == ("spikeprune-helper-1", [1]) for who, _, c in pins if who != me)
         started.clear()
         pins.clear()
-        net.forward(rng.normal(size=(2 * net.tile, 1, 8, 8)), training=False)
-        assert len(started) == 1
-        assert sorted(map(sorted, (c for _, _, c in pins[:2]))) == [[0], [1]]
-        assert sorted(pins[2][2]) == [0, 1]
+        names = self.threads_of(net, rng.normal(size=(2 * net.tile, 1, 8, 8)), 2)
+        assert names == {me, "spikeprune-helper-1"} and started == []
+        assert [c for who, pid, c in pins if who == me and pid == 0] == [[0], [0, 1]]
+        assert [c for who, pid, c in pins if who == me and pid != 0] == given_back
+        assert [(who, c) for who, _, c in pins if who != me] == [("spikeprune-helper-1", [1])]
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two cores")
-    def test_worker_tiles_run_on_another_core(self, monkeypatch):
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 or cores.BLAS is None,
+                        reason="needs two cores and OpenBLAS's thread count")
+    def test_worker_tiles_run_on_another_core(self):
         """Each thread sees a one-core mask of its own while it runs its tiles;
-        the caller waits in its first tile until the worker has run one."""
+        the caller waits in its first tile until a helper has run one."""
         net, rng = _eval_net((4, 8), seed=37)
-        self.force(monkeypatch, 2)
         caller, mask = threading.get_ident(), os.sched_getaffinity(0)
         seen, worker_ran = {}, threading.Event()
 
@@ -386,41 +439,56 @@ class TestInferenceThreads:
         assert os.sched_getaffinity(0) == mask
 
     def test_refused_pinning_changes_no_result(self, monkeypatch, started):
-        """Where the host refuses an affinity change, the threads run unpinned."""
+        """Where the host refuses an affinity change, the caller runs every
+        tile, with the same results, and no thread starts."""
         net, rng = _eval_net((4, 8), seed=38)
         x = rng.normal(size=(5 * net.tile + 1, 1, 8, 8))
-        self.force(monkeypatch, 2)
         pinned = net.forward(x, training=False)
 
         def refuse(pid, cpus):
             raise OSError(22, "Invalid argument")
 
         mask = os.sched_getaffinity(0)
-        monkeypatch.setattr(network.os, "sched_setaffinity", refuse)
-        np.testing.assert_array_equal(net.forward(x, training=False), pinned)
-        assert len(started) == 2 and os.sched_getaffinity(0) == mask
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        ran = []
+        refused = net.forward(x, training=False, on_tile=lambda rows, states: ran.append(
+            threading.current_thread().name))
+        np.testing.assert_array_equal(refused, pinned)
+        assert ran == [threading.current_thread().name] * 6
+        assert set(started) <= helper_names(len(mask)) and os.sched_getaffinity(0) == mask
 
-    def test_non_finite_input_in_a_worker_tile(self, monkeypatch, started):
-        """Every tile but the caller's last holds a NaN, so the worker meets
-        one too: the error is the serial path's."""
+    def test_non_finite_input_in_a_worker_tile(self, monkeypatch, fake_mask, started):
+        """Every tile but the caller's last holds a NaN, and the caller waits
+        until a helper has begun a tile, so a helper meets one too: the error
+        is the serial path's."""
         net, rng = _eval_net((4, 8), seed=34)
         x = rng.normal(size=(4 * net.tile, 1, 8, 8))
         x[:-net.tile:net.tile, 0, 2, 2] = np.nan
-        errors, mask = [], os.sched_getaffinity(0)
-        for threads in (1, 2):
-            self.force(monkeypatch, threads)
-            with pytest.raises(NumericError) as info:
-                net.forward(x, training=False)
-            errors.append(str(info.value))
-            assert os.sched_getaffinity(0) == mask
-        assert len(started) == 1 and errors[0] == errors[1]
-        assert not started[0].is_alive()
+        me, helper_began = threading.current_thread().name, threading.Event()
+        layer_input = net.layer_input
 
-    def test_earliest_failing_tile_is_raised_after_every_thread(self, monkeypatch, started):
-        """Each of three threads fails on the first tile it takes; the error
-        of tile 0 is raised, after all three have stopped."""
+        def noting(xs):
+            if threading.current_thread().name != me:
+                helper_began.set()
+            return layer_input(xs)
+
+        monkeypatch.setattr(net, "layer_input", noting)
+        errors = []
+        for k in (1, 2):
+            fake_mask(k)
+            with pytest.raises(NumericError) as info:
+                net.forward(x, training=False, on_tile=lambda rows, states: (
+                    k == 1 or cores.BLAS is None or helper_began.wait(10)))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert helper_began.is_set() or cores.BLAS is None
+        assert set(started) <= helper_names(2)
+
+    def test_earliest_failing_tile_is_raised_after_every_thread(self, fake_mask):
+        """On a faked 3-core mask every tile fails; the error of tile 0 is
+        raised, after every tile has run."""
         net, rng = _eval_net((4, 8), seed=35)
-        self.force(monkeypatch, 3)
+        fake_mask(3)
         done = []
 
         def on_tile(rows, states):
@@ -430,8 +498,7 @@ class TestInferenceThreads:
         with pytest.raises(ValueError, match="tile at 0$"):
             net.forward(rng.normal(size=(6 * net.tile, 1, 8, 8)), training=False,
                         on_tile=on_tile)
-        assert sorted(done) == [0, net.tile, 2 * net.tile]
-        assert not any(t.is_alive() for t in started)
+        assert sorted(done) == [k * net.tile for k in range(6)]
 
 
 class TestFlattenOrder:
