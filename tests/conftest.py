@@ -1,10 +1,21 @@
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
 
 from spikeprune.verify import tiny_run
+
+
+def helper_names(k):
+    """Names of the spikeprune.cores helpers that a k-core mask may use."""
+    return {f"spikeprune-helper-{j}" for j in range(1, k)}
+
+
+def helper_threads():
+    """The spikeprune.cores helper threads started so far."""
+    return [t for t in threading.enumerate() if t.name.startswith("spikeprune-helper-")]
 
 
 @pytest.fixture

@@ -7,12 +7,11 @@ import contextlib
 import itertools
 import os
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from conftest import tiny_run
+from conftest import helper_names, helper_threads, tiny_run
 from spikeprune import cores, ops
 from spikeprune.errors import NumericError
 from spikeprune.network import SpikingNetwork, vgg_mini
@@ -20,12 +19,7 @@ from spikeprune.optim import SGD, TrainConfig, loss_ce_l1
 
 TWO_CORES = len(os.sched_getaffinity(0)) > 1 and cores.BLAS is not None
 # The pool's helpers this process's mask allows: helper k runs on its k-th core.
-HELPERS = {f"spikeprune-helper-{k}" for k in range(1, len(os.sched_getaffinity(0)))}
-
-
-def helper_threads():
-    """The pool's helper threads started so far."""
-    return [t for t in threading.enumerate() if t.name.startswith("spikeprune-helper-")]
+HELPERS = helper_names(len(os.sched_getaffinity(0)))
 
 
 @pytest.fixture
@@ -244,35 +238,23 @@ class TestRegionState:
 
     @pytest.mark.skipif(not TWO_CORES, reason="the helper runs only on two cores")
     def test_a_job_the_caller_finished_leaves_the_helper_unpinned(self):
-        """Another thread keeps helper 1 busy in a share() call. The caller
-        runs both halves of its own call meanwhile, and its region ends; once
-        released, helper 1 finishes the other call and then takes the spent
-        job from its queue. It stays idle with a caller's mask, not one core."""
-        go, busy, errors = threading.Event(), threading.Event(), []
-
-        def hold(lo, hi):
-            busy.set()
-            go.wait(10)
-
-        def other():
-            try:        # both pieces wait, so the helper takes one of them
-                cores.share(hold, [(0, 1), (1, 2)])
-            except BaseException as exc:
-                errors.append(exc)
-
-        mask = os.sched_getaffinity(0)
-        holder = threading.Thread(target=other)
-        holder.start()
-        ran = []
+        """Helper 1 is kept busy with a job of no core. The caller runs both
+        halves of its own call meanwhile, and its region ends; once released,
+        helper 1 takes the spent job from its queue, and then a no-op job
+        queued behind it. It stays idle with the caller's mask, not one core."""
+        go = threading.Event()
+        helper = cores._helpers(1)[0]
+        helper.jobs.put(cores._Job(lambda lo, hi: go.wait(10), [(0, 1)], [None, None]))
+        mask, ran = os.sched_getaffinity(0), []
         try:
-            assert busy.wait(10)
             with cores.training():
                 cores.halves(lambda lo, hi: ran.append((lo, hi)), 10, cores.SHARE_MIN)
         finally:
             go.set()
-            holder.join(10)
-        assert not holder.is_alive() and ran == [(0, 5), (5, 10)] and errors == []
-        time.sleep(0.2)     # the helper dequeues the spent job within microseconds
+        assert ran == [(0, 5), (5, 10)]
+        drained = cores._Job(lambda lo, hi: None, [(0, 1)], [None, None])
+        helper.jobs.put(drained)
+        assert drained.done.acquire(timeout=10)
         for helper in helper_threads():
             assert os.sched_getaffinity(helper.native_id) == mask
 
@@ -395,7 +377,7 @@ def test_every_helper_gets_the_callers_mask_back(monkeypatch):
             (kernel(lo, hi) if call is None else call(kernel, lo, hi))
         work(job, note, cpu)
 
-    def on_tile(rows, states):      # the caller waits until a helper has run a tile
+    def meet(*args):        # the caller's tile or half waits until a helper has run one
         if threading.current_thread() is me:
             helper_ran.wait(10)
         else:
@@ -403,18 +385,25 @@ def test_every_helper_gets_the_callers_mask_back(monkeypatch):
 
     monkeypatch.setattr(cores._Job, "work", noting)
     net = SpikingNetwork(vgg_mini(channels=(12, 24)), np.random.default_rng(5))
-    net.forward(np.zeros((4 * net.tile, 1, 8, 8)), on_tile=on_tile)
+    net.forward(np.zeros((4 * net.tile, 1, 8, 8)), on_tile=meet)
     assert helper_ran.is_set() and pinned and all(len(m) == 1 and m < mask for m in pinned)
     for helper in helper_threads():
         assert os.sched_getaffinity(helper.native_id) == mask
-    monkeypatch.setattr(cores, "SHARE_MIN", 0)
     pinned.clear()
+    helper_ran.clear()
+    share = cores.share
+
+    def first_meets(kernel, pieces, also=None):
+        """The step's first two-piece kernel meets a helper in each piece."""
+        if len(pieces) > 1 and not helper_ran.is_set():
+            return share(lambda lo, hi: (meet(), kernel(lo, hi)), pieces, also)
+        return share(kernel, pieces, also)
+
+    monkeypatch.setattr(cores, "share", first_meets)
+    monkeypatch.setattr(cores, "SHARE_MIN", 0)
     _, trainer, data = tiny_run(seed=2, n_train=16, batch=16)
-    for _ in range(5):      # until a helper has taken a half
-        trainer.train_step(data.x_train, data.y_train, 0.05)
-        if pinned:
-            break
-    assert pinned and all(len(m) == 1 and m < mask for m in pinned)
+    trainer.train_step(data.x_train, data.y_train, 0.05)
+    assert helper_ran.is_set() and pinned and all(len(m) == 1 and m < mask for m in pinned)
     assert os.sched_getaffinity(0) == mask
     for helper in helper_threads():
         assert os.sched_getaffinity(helper.native_id) == mask

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import save_v1, tiny_run
+from conftest import helper_names, helper_threads, save_v1, tiny_run
 from spikeprune import checkpoint, cores, layers, ops
 from spikeprune.analysis import extract_features
 from spikeprune.errors import DimensionError, NumericError, StateError
@@ -252,16 +252,6 @@ class TestInferenceTiles:
                 assert net.grad.any()
 
 
-def helper_names(k):
-    """Names of the pool's helpers that a k-core mask may use."""
-    return {f"spikeprune-helper-{j}" for j in range(1, k)}
-
-
-def helper_threads():
-    """The pool's helper threads started so far."""
-    return [t for t in threading.enumerate() if t.name.startswith("spikeprune-helper-")]
-
-
 class TestInferenceThreads:
     """An inference forward shares its tiles with the persistent helpers of
     spikeprune.cores: one thread per core of the affinity mask, the caller
@@ -337,14 +327,15 @@ class TestInferenceThreads:
                 np.testing.assert_array_equal(got, results[0][2][key])
 
     def test_more_threads_than_cores_under_fast_switching(self, fake_mask, started):
-        """Three threads on a faked 3-core mask, more than a 2-core host has,
+        """Eight threads on a faked 8-core mask, the caller and helpers 1-7,
         with a 1 us switch interval: every tile runs once and its rows equal
-        the serial forward's; no forward after the first starts a thread."""
+        the serial forward's; the first forward hands its tiles to all seven
+        helpers, and no forward after it starts a thread."""
         net, rng = _eval_net((4, 8), seed=36)
         x = rng.normal(size=(11 * net.tile + 5, 1, 8, 8))
         fake_mask(1)
         serial = net.forward(x, training=False)
-        fake_mask(3)
+        fake_mask(8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -356,9 +347,10 @@ class TestInferenceThreads:
                 assert sorted(ran) == list(range(0, len(x), net.tile))
                 if round_ == 0:
                     first = list(started)
+                    assert {t.name for t in helper_threads()} >= helper_names(8)
         finally:
             sys.setswitchinterval(interval)
-        assert started == first and set(started) <= helper_names(3)
+        assert started == first and set(started) <= helper_names(8)
 
     def test_caller_runs_the_last_tile(self):
         """The caller runs the last tile, so the network's own caches hold it,
