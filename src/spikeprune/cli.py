@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -104,6 +105,13 @@ def _make_spec(cfg: ExperimentConfig):
                     kernel=cfg.kernel, pool=cfg.pool, t_steps=cfg.T, lif=lif)
 
 
+def _spec_fields(spec) -> dict:
+    """spec.to_dict() with each layer's fields as entries of their own."""
+    d = spec.to_dict()
+    return {**{k: v for k, v in d.items() if k != "layers"},
+            **{f"layer {i} {k}": v for i, l in enumerate(d["layers"]) for k, v in l.items()}}
+
+
 def _train_cfg(cfg: ExperimentConfig, epochs: int, mode: str) -> TrainConfig:
     return TrainConfig(
         lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.wd,
@@ -168,6 +176,13 @@ def cmd_prune_unstructured(args) -> int:
             raise ConfigError(
                 f"resume checkpoint holds {meta.get('epochs_done')} epochs, N_pre={cfg.N_pre}"
             )
+        for what, saved, now in (
+                ("dataset", asdict(prev.dataset_spec()), asdict(cfg.dataset_spec())),
+                ("network", _spec_fields(net.spec), _spec_fields(_make_spec(cfg)))):
+            key = next((k for k in {**saved, **now} if saved.get(k) != now.get(k)), None)
+            if key is not None:
+                raise ConfigError(f"resume checkpoint's {what} has {key} = {saved.get(key)}, "
+                                  f"the config's {now.get(key)}")
         # the dataset came from the stream's first draws; the checkpointed
         # state already accounts for everything up to the end of pretraining
         data = load_dataset(cfg.dataset_spec(), np.random.default_rng(cfg.seed))

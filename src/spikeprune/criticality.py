@@ -2,10 +2,11 @@
 
 A unit's score is the time-mean of g'(h - v_threshold), spatially aggregated
 per channel for conv features (max by default, mean behind the flag), then
-averaged over samples. Conv traces are channels-last, [T, N, H, W, C], like
-every activation inside a network; per-channel scores index the output axis
-of the conv weights [Cout, Cin, kh, kw]. Scores live in (0, 1]: they peak
-when the membrane potential habitually sits at the threshold and decay
+averaged over samples: sample_scores gives each sample's row and
+score_batch takes the mean. Conv traces are channels-last, [T, N, H, W, C],
+like every activation inside a network; per-channel scores index the output
+axis of the conv weights [Cout, Cin, kh, kw]. Scores live in (0, 1]: they
+peak when the membrane potential habitually sits at the threshold and decay
 quadratically with the distance from it.
 """
 
@@ -19,14 +20,6 @@ from .errors import ArgumentError, StateError
 from .network import WEIGHTED_KINDS, trace_shapes
 
 AGGREGATIONS = ("max", "mean")
-
-
-@dataclass
-class BatchScores:
-    """Per-unit batch means keyed by LIF layer index, plus the sample count."""
-
-    scores: dict
-    count: int
 
 
 def sample_scores(states: dict, aggregation: str = "max") -> dict:
@@ -59,54 +52,28 @@ def sample_scores(states: dict, aggregation: str = "max") -> dict:
     return out
 
 
-def score_batch(per_sample: dict) -> BatchScores:
-    """Batch means of per-sample scores (sample_scores, concatenated over
-    the forwards that ran the batch)."""
+def score_batch(per_sample: dict, batch: int | None = None) -> dict:
+    """Per-unit means of per-sample scores (sample_scores, concatenated over
+    the forwards that ran the samples), keyed like per_sample.
+
+    Each slice of batch consecutive rows (one slice of all rows by default)
+    adds its mean times its row count; the sum is divided by the row count.
+    Any batch therefore gives the same scores within fp roundoff.
+    """
     if not per_sample:
         raise StateError("no per-sample scores to average")
-    count = None
+    out = {}
     for key, rows in per_sample.items():
-        if count is None:
-            count = len(rows)
-        elif count != len(rows):
-            raise StateError(f"layer {key}: sample count {len(rows)} disagrees with {count}")
-    return BatchScores({key: rows.mean(axis=0) for key, rows in per_sample.items()}, count)
-
-
-class CriticalityTable:
-    """Running per-unit sums and sample counts; finalize() divides them out.
-
-    Accumulation weights each batch by its sample count, so any partition of
-    the same samples into batches finalizes to the same scores (within fp
-    roundoff).
-    """
-
-    def __init__(self):
-        self._sum = {}
-        self._count = {}
-
-    def accumulate(self, batch: BatchScores):
-        for key, mean_scores in batch.scores.items():
-            add = mean_scores * batch.count
-            if key in self._sum:
-                if self._sum[key].shape != add.shape:
-                    raise StateError(f"layer {key}: score shape changed between batches")
-                self._sum[key] += add
-                self._count[key] += batch.count
-            else:
-                self._sum[key] = add.copy()
-                self._count[key] = batch.count
-
-    def finalize(self) -> dict:
-        if not self._sum:
-            raise StateError("finalize on an empty criticality table")
-        out = {}
-        for key, s in self._sum.items():
-            cnt = self._count[key]
-            if cnt == 0:
-                raise StateError(f"layer {key}: finalize with zero samples")
-            out[key] = s / cnt
-        return out
+        if not len(rows):
+            raise StateError(f"layer {key}: no samples to average")
+        step = batch or len(rows)
+        total = None
+        for lo in range(0, len(rows), step):
+            part = rows[lo:lo + step]
+            add = part.mean(axis=0) * len(part)
+            total = add if total is None else total + add
+        out[key] = total / len(rows)
+    return out
 
 
 @dataclass(frozen=True)
@@ -145,7 +112,7 @@ def connection_runs(net) -> ConnectionRuns:
     return ConnectionRuns(tuple(layers), np.concatenate(lengths))
 
 
-def network_connection_scores(runs: ConnectionRuns, finalized: dict) -> np.ndarray:
+def network_connection_scores(runs: ConnectionRuns, means: dict) -> np.ndarray:
     """One criticality score per run, in flat order: a hidden layer's runs
     take its post-synaptic unit scores, and each head row repeats the
     pre-synaptic ones."""
@@ -154,15 +121,15 @@ def network_connection_scores(runs: ConnectionRuns, finalized: dict) -> np.ndarr
         if lif is None:
             out.append(np.zeros(1))
             continue
-        if lif not in finalized:
-            raise StateError(f"criticality table has no scores for LIF layer {lif}")
-        if finalized[lif].shape != (units,):
-            raise StateError(f"LIF layer {lif}: {finalized[lif].size} scores vs {units} units")
-        out.append(np.tile(finalized[lif], rows))
+        if lif not in means:
+            raise StateError(f"criticality means have no scores for LIF layer {lif}")
+        if means[lif].shape != (units,):
+            raise StateError(f"LIF layer {lif}: {means[lif].size} scores vs {units} units")
+        out.append(np.tile(means[lif], rows))
     return np.concatenate(out)
 
 
-def scores_to_rows(finalized: dict):
-    """Flatten finalized scores into (layer, unit, score) rows for CSV export."""
+def scores_to_rows(means: dict):
+    """Flatten per-unit means into (layer, unit, score) rows for CSV export."""
     return [(key, unit, float(val))
-            for key in sorted(finalized) for unit, val in enumerate(finalized[key])]
+            for key in sorted(means) for unit, val in enumerate(means[key])]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import SurvivalLedger
-from .criticality import CriticalityTable, sample_scores, score_batch
+from .criticality import sample_scores, score_batch
 from .errors import ArgumentError, DimensionError
 from .network import NetworkSpec, SpikingNetwork, trace_shapes
 from .unstructured import extend_sparsity, prune_global_magnitude, regenerate, round_half_up
@@ -257,11 +257,11 @@ def count_flops(spec: NetworkSpec, plan: ChannelPlan | None = None) -> FlopsRepo
 
 def criticality_over_dataset(net: SpikingNetwork, x: np.ndarray, batch_size: int,
                              aggregation: str = "max") -> dict:
-    """Accumulate channel criticality over a full dataset in inference mode.
+    """Channel criticality over a full dataset in inference mode.
 
     One forward runs the whole set; each tile's per-sample scores go into
-    their rows as the tile finishes, and the table accumulates them per
-    batch_size slice, so it equals one full-batch run per batch.
+    their rows as the tile finishes, and score_batch averages them per
+    batch_size slice, so each slice equals one full-batch run.
     """
     shapes = trace_shapes(net.spec)
     per_sample = {i: np.empty((len(x), shapes[i][0])) for i in net.lif_indices()}
@@ -271,12 +271,8 @@ def criticality_over_dataset(net: SpikingNetwork, x: np.ndarray, batch_size: int
             per_sample[key][rows] = scores
 
     net.forward(x, training=False, on_tile=on_tile)
-    table = CriticalityTable()
-    for i in range(0, len(x), batch_size):
-        table.accumulate(score_batch({key: s[i:i + batch_size]
-                                      for key, s in per_sample.items()}))
-    finalized = table.finalize()
-    return {i: finalized[net.scoring_lif(i)] for i in bn_gammas(net)}
+    means = score_batch(per_sample, batch_size)
+    return {i: means[net.scoring_lif(i)] for i in bn_gammas(net)}
 
 
 @dataclass

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import SurvivalLedger
-from .criticality import (
-    CriticalityTable,
-    connection_runs,
-    network_connection_scores,
-    sample_scores,
-    score_batch,
-)
+from .criticality import connection_runs, network_connection_scores, sample_scores, score_batch
 from .errors import ArgumentError
 
 
@@ -199,9 +193,8 @@ def prune_loop(net, trainer, sched: SparsitySchedule, epochs: int,
         post_prune = mask.copy()
         k, chosen = 0, np.empty(0, dtype=np.intp)
         if not gmp_only:
-            table = CriticalityTable()
-            table.accumulate(score_batch(sample_scores(net.lif_states(), aggregation)))
-            scores = network_connection_scores(runs, table.finalize())
+            scores = network_connection_scores(
+                runs, score_batch(sample_scores(net.lif_states(), aggregation)))
             k = round_half_up((1.0 - s_t) * mask.size) - int(np.count_nonzero(mask))
             chosen = regenerate(mask, weights, scores, runs.lengths, snapshot, k)
         ledger.on_iteration(sched.n, newly, chosen)

@@ -27,7 +27,7 @@ from .analysis import (
     survival_report,
 )
 from .cli import main as cli_main
-from .criticality import BatchScores, CriticalityTable
+from .criticality import score_batch
 from .data import DatasetSpec, make_synthetic
 from .layers import LIF, LIFParams, lif_step, surrogate_g, surrogate_gprime
 from .network import SpikingNetwork, inference_tile, linear_snn, vgg_mini
@@ -458,13 +458,7 @@ def check_flops():
 def check_criticality_partition():
     rng = np.random.default_rng(6)
     per_sample = rng.uniform(0, 1, size=(30, 5))
-    whole = CriticalityTable()
-    whole.accumulate(BatchScores({0: per_sample.mean(axis=0)}, count=30))
-    split = CriticalityTable()
-    for lo in range(0, 30, 7):
-        chunk = per_sample[lo:lo + 7]
-        split.accumulate(BatchScores({0: chunk.mean(axis=0)}, count=chunk.shape[0]))
-    diff = np.abs(whole.finalize()[0] - split.finalize()[0]).max()
+    diff = np.abs(score_batch({0: per_sample})[0] - score_batch({0: per_sample}, 7)[0]).max()
     return diff <= 1e-9, f"partition drift {diff:.2e}"
 
 

@@ -18,6 +18,36 @@ def helper_threads():
     return [t for t in threading.enumerate() if t.name.startswith("spikeprune-helper-")]
 
 
+class Meeting:
+    """Makes a helper thread run a piece or tile of a shared run. meet(),
+    called in each piece or tile, holds the caller's thread until a helper
+    has called it too (or 10 s); helper_ran is set once one has. The caller
+    is the thread that made the Meeting."""
+
+    def __init__(self):
+        self.caller, self.helper_ran = threading.current_thread(), threading.Event()
+
+    def meet(self, *args):
+        if threading.current_thread() is self.caller:
+            self.helper_ran.wait(10)
+        else:
+            self.helper_ran.set()
+
+    def first_meets(self, share):
+        """share (spikeprune.cores.share), except that the first two-piece
+        kernel run while helper_ran is clear meets a helper in each piece."""
+        def sharing(kernel, pieces, also=None):
+            if len(pieces) > 1 and not self.helper_ran.is_set():
+                return share(lambda lo, hi: (self.meet(), kernel(lo, hi)), pieces, also)
+            return share(kernel, pieces, also)
+        return sharing
+
+
+@pytest.fixture
+def meeting():
+    return Meeting()
+
+
 @pytest.fixture
 def tiny():
     return tiny_run()

@@ -438,6 +438,25 @@ class TestErrors:
         assert rc == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("classes = 3", "classes = 4", "dataset has classes = 3, the config's 4"),
+        ("channels = 2, 3", "channels = 5, 6",
+         "network has layer 0 out_channels = 2, the config's 5"),
+    ])
+    def test_resume_config_mismatch(self, tiny_cfg, capsys, old, new, named):
+        """A checkpoint whose dataset or network differs from the config's is
+        refused with one error line naming the difference, before any training."""
+        cfg, root = tiny_cfg
+        main(["train", "--config", cfg, "--out", str(root / "t")])
+        capsys.readouterr()
+        other = root / "other.cfg"
+        other.write_text(TINY.replace(old, new))
+        err = self._one_error_line(["prune-unstructured", "--config", str(other),
+                                    "--out", str(root / "x"),
+                                    "--resume", str(root / "t" / "checkpoint.ckpt")], capsys)
+        assert named in err
+        assert not (root / "x" / "checkpoint_final.ckpt").exists()
+
     def test_delta_t_exceeding_budget(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(TINY.replace("delta_t = 4", "delta_t = 1000"))

@@ -201,11 +201,12 @@ class TestRegionState:
             for helper in helper_threads():
                 assert os.sched_getaffinity(helper.native_id) == mask
 
-    def test_nan_in_the_helper_half_ends_in_the_trainer_error(self, monkeypatch,
+    def test_nan_in_the_helper_half_ends_in_the_trainer_error(self, monkeypatch, meeting,
                                                               helper_pieces, blas_two):
         """A NaN sample in the second half: the step ends in the Trainer's
         NumericError, the mask and BLAS count are as before, and the next
-        step runs on the helper again."""
+        step runs on the helper again: its first shared kernel waits until
+        a helper has run a half."""
         monkeypatch.setattr(cores, "SHARE_MIN", 0)
         net, trainer, data = tiny_run(seed=3, n_train=16, batch=16)
         x = data.x_train.copy()
@@ -216,6 +217,8 @@ class TestRegionState:
             trainer.train_step(x, data.y_train, 0.05)
         assert os.sched_getaffinity(0) == mask and cores.BLAS[0]() == blas_two
         helper_pieces.clear()
+        if TWO_CORES:
+            monkeypatch.setattr(cores, "share", meeting.first_meets(cores.share))
         trainer.train_step(data.x_train, data.y_train, 0.05)
         assert os.sched_getaffinity(0) == mask and cores.BLAS[0]() == blas_two
         if TWO_CORES:
@@ -362,48 +365,34 @@ def test_two_callers_share_the_pool(monkeypatch):
 
 
 @pytest.mark.skipif(not TWO_CORES, reason="the helpers run only on two cores")
-def test_every_helper_gets_the_callers_mask_back(monkeypatch):
+def test_every_helper_gets_the_callers_mask_back(monkeypatch, meeting):
     """A helper is pinned to a core of its own while it runs a tile of a
     multi-tile eval forward or a half of a shared training step; after
-    either, every helper's mask is the caller's."""
-    mask, me = os.sched_getaffinity(0), threading.current_thread()
-    pinned, helper_ran = [], threading.Event()
+    either, every helper's mask is the caller's. The caller's tile or half
+    waits until a helper has run one."""
+    mask, pinned = os.sched_getaffinity(0), []
     work = cores._Job.work
 
     def noting(job, call=None, cpu=None):
         def note(kernel, lo, hi):
-            if threading.current_thread() is not me:
+            if threading.current_thread() is not meeting.caller:
                 pinned.append(os.sched_getaffinity(0))
             (kernel(lo, hi) if call is None else call(kernel, lo, hi))
         work(job, note, cpu)
 
-    def meet(*args):        # the caller's tile or half waits until a helper has run one
-        if threading.current_thread() is me:
-            helper_ran.wait(10)
-        else:
-            helper_ran.set()
-
     monkeypatch.setattr(cores._Job, "work", noting)
     net = SpikingNetwork(vgg_mini(channels=(12, 24)), np.random.default_rng(5))
-    net.forward(np.zeros((4 * net.tile, 1, 8, 8)), on_tile=meet)
-    assert helper_ran.is_set() and pinned and all(len(m) == 1 and m < mask for m in pinned)
+    net.forward(np.zeros((4 * net.tile, 1, 8, 8)), on_tile=meeting.meet)
+    assert meeting.helper_ran.is_set() and pinned and all(len(m) == 1 and m < mask for m in pinned)
     for helper in helper_threads():
         assert os.sched_getaffinity(helper.native_id) == mask
     pinned.clear()
-    helper_ran.clear()
-    share = cores.share
-
-    def first_meets(kernel, pieces, also=None):
-        """The step's first two-piece kernel meets a helper in each piece."""
-        if len(pieces) > 1 and not helper_ran.is_set():
-            return share(lambda lo, hi: (meet(), kernel(lo, hi)), pieces, also)
-        return share(kernel, pieces, also)
-
-    monkeypatch.setattr(cores, "share", first_meets)
+    meeting.helper_ran.clear()
+    monkeypatch.setattr(cores, "share", meeting.first_meets(cores.share))
     monkeypatch.setattr(cores, "SHARE_MIN", 0)
     _, trainer, data = tiny_run(seed=2, n_train=16, batch=16)
     trainer.train_step(data.x_train, data.y_train, 0.05)
-    assert helper_ran.is_set() and pinned and all(len(m) == 1 and m < mask for m in pinned)
+    assert meeting.helper_ran.is_set() and pinned and all(len(m) == 1 and m < mask for m in pinned)
     assert os.sched_getaffinity(0) == mask
     for helper in helper_threads():
         assert os.sched_getaffinity(helper.native_id) == mask

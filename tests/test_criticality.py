@@ -1,5 +1,5 @@
-"""Criticality scoring: aggregation semantics, accumulation, broadcast to
-connections, and brute-force ranking oracles.
+"""Criticality scoring: aggregation semantics, batch-weighted means, broadcast
+to connections, and brute-force ranking oracles.
 """
 
 import numpy as np
@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikeprune.criticality import (
-    BatchScores,
-    CriticalityTable,
     connection_runs,
     network_connection_scores,
     sample_scores,
@@ -32,7 +30,7 @@ def state_from_gprime(gp):
 
 
 def scored(states, aggregation="max"):
-    """Batch scores of one recorded forward: the per-sample step, then the mean."""
+    """Unit means of one recorded forward: the per-sample step, then the mean."""
     return score_batch(sample_scores(states, aggregation))
 
 
@@ -46,8 +44,7 @@ class TestScoreBatch:
         # one neuron, g' = {1.0, 0.5} over T=2 -> 0.75
         gp = np.array([1.0, 0.5]).reshape(2, 1, 1)
         out = scored({0: state_from_gprime(gp)})
-        assert out.scores[0][0] == 0.75
-        assert out.count == 1
+        assert out[0][0] == 0.75
 
     def test_conv_max_aggregation(self):
         # a channel whose spatial time-means are {0.75, 0.20}
@@ -56,8 +53,8 @@ class TestScoreBatch:
         gp[:, 0, 0, 0, 1] = [0.2, 0.2]   # time-mean 0.20
         out_max = scored({0: state_from_gprime(channels_last(gp))}, "max")
         out_mean = scored({0: state_from_gprime(channels_last(gp))}, "mean")
-        assert out_max.scores[0][0] == 0.75
-        assert out_mean.scores[0][0] == pytest.approx((0.75 + 0.2) / 2)
+        assert out_max[0][0] == 0.75
+        assert out_mean[0][0] == pytest.approx((0.75 + 0.2) / 2)
 
     @pytest.mark.parametrize("t", [1, 3, 5, 7])
     def test_max_is_bitwise_time_mean_then_max(self, t):
@@ -73,7 +70,7 @@ class TestScoreBatch:
     def test_all_at_threshold_scores_one(self):
         gp = np.ones((3, 4, 2, 2, 2))
         out = scored({0: state_from_gprime(channels_last(gp))}, "max")
-        np.testing.assert_array_equal(out.scores[0], np.ones(2))
+        np.testing.assert_array_equal(out[0], np.ones(2))
 
     def test_empty_states(self):
         with pytest.raises(StateError):
@@ -81,17 +78,13 @@ class TestScoreBatch:
         with pytest.raises(StateError):
             score_batch({})
 
-    def test_sample_counts_must_agree(self):
-        with pytest.raises(StateError, match="sample count 2 disagrees with 3"):
-            score_batch({0: np.ones((3, 4)), 1: np.ones((2, 4))})
-
     @given(st.integers(1, 6), st.integers(1, 5))
     @settings(max_examples=25, deadline=None)
     def test_max_at_least_mean(self, n, c):
         rng = np.random.default_rng(n * 31 + c)
         gp = rng.uniform(0.001, 1.0, size=(3, n, c, 2, 3))
-        hi = scored({0: state_from_gprime(channels_last(gp))}, "max").scores[0]
-        lo = scored({0: state_from_gprime(channels_last(gp))}, "mean").scores[0]
+        hi = scored({0: state_from_gprime(channels_last(gp))}, "max")[0]
+        lo = scored({0: state_from_gprime(channels_last(gp))}, "mean")[0]
         assert np.all(hi >= lo - 1e-15)
 
     def test_far_from_threshold_bound(self):
@@ -103,57 +96,66 @@ class TestScoreBatch:
         assert np.all(np.abs(layer.state.h - 1.0) >= 10)
         out = scored({0: layer.state})
         bound = 1.0 / (1.0 + 100.0 * np.pi ** 2)
-        assert np.all(out.scores[0] <= bound)
+        assert np.all(out[0] <= bound)
 
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(9)
         gp = rng.uniform(1e-6, 1.0, size=(5, 3, 4))
         out = scored({0: state_from_gprime(gp)})
-        assert np.all(out.scores[0] > 0) and np.all(out.scores[0] <= 1.0)
+        assert np.all(out[0] > 0) and np.all(out[0] <= 1.0)
+
+
+def slice_weighted(rows, batch):
+    """Each slice of batch rows adds its mean times its row count, in order;
+    the sum is divided by the row count."""
+    parts = [rows[lo:lo + batch] for lo in range(0, len(rows), batch)]
+    return sum(p.mean(axis=0) * len(p) for p in parts) / len(rows)
 
 
 class TestTable:
+    """score_batch(per_sample, batch): per-unit means over the rows, each
+    slice of batch rows weighted by its row count."""
+
     def test_single_batch_identity(self):
-        t = CriticalityTable()
-        t.accumulate(BatchScores({0: np.array([0.4, 0.6])}, count=8))
-        np.testing.assert_array_equal(t.finalize()[0], [0.4, 0.6])
+        rows = np.random.default_rng(1).uniform(0.0, 1.0, size=(8, 2))
+        want = (rows.mean(axis=0) * 8 / 8).tobytes()
+        for batch in (None, 8, 100):
+            assert score_batch({0: rows}, batch)[0].tobytes() == want
 
     def test_two_equal_batches_idempotent(self):
-        t = CriticalityTable()
-        b = BatchScores({0: np.array([0.25])}, count=4)
-        t.accumulate(b)
-        t.accumulate(b)
-        assert t.finalize()[0][0] == 0.25
+        rows = np.full((8, 1), 0.25)
+        assert score_batch({0: rows}, 4)[0][0] == 0.25
 
     def test_mean_of_two_batches(self):
-        t = CriticalityTable()
-        t.accumulate(BatchScores({0: np.array([0.2])}, count=1))
-        t.accumulate(BatchScores({0: np.array([0.8])}, count=1))
-        assert t.finalize()[0][0] == 0.5
+        assert score_batch({0: np.array([[0.2], [0.8]])}, 1)[0][0] == 0.5
 
-    def test_finalize_empty(self):
-        with pytest.raises(StateError):
-            CriticalityTable().finalize()
+    def test_no_samples_raises(self):
+        with pytest.raises(StateError, match="layer 0: no samples to average"):
+            score_batch({0: np.empty((0, 3))})
 
-    @given(st.lists(st.integers(1, 7), min_size=1, max_size=6))
+    def test_ragged_batches_bitwise_slice_weighted(self):
+        """With batch < n and a ragged last slice, each key's means equal the
+        slice-weighted sum bit for bit, over that key's own row count; on
+        these rows a plain mean over all rows differs in the last bits."""
+        rng = np.random.default_rng(3)
+        per_sample = {0: rng.uniform(0.0, 1.0, size=(30, 5)),
+                      4: rng.uniform(0.0, 1.0, size=(12, 3))}
+        got = score_batch(per_sample, 7)
+        for key, rows in per_sample.items():
+            assert got[key].tobytes() == slice_weighted(rows, 7).tobytes()
+        assert got[0].tobytes() != per_sample[0].mean(axis=0).tobytes()
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
     @settings(max_examples=30, deadline=None)
-    def test_partition_invariance(self, batch_sizes):
-        """Any batch partition of the same samples finalizes within 1e-9."""
-        rng = np.random.default_rng(sum(batch_sizes))
-        n = sum(batch_sizes)
-        per_sample = rng.uniform(0.0, 1.0, size=(n, 3))
-        whole = CriticalityTable()
-        whole.accumulate(BatchScores({0: per_sample.mean(axis=0)}, count=n))
-        split = CriticalityTable()
-        off = 0
-        for b in batch_sizes:
-            chunk = per_sample[off:off + b]
-            split.accumulate(BatchScores({0: chunk.mean(axis=0)}, count=b))
-            off += b
-        assert np.abs(whole.finalize()[0] - split.finalize()[0]).max() <= 1e-9
+    def test_partition_invariance(self, n_batch):
+        """Any batch from 1 to n gives the one-slice means within 1e-9."""
+        n, batch = n_batch
+        per_sample = {0: np.random.default_rng(n * 41 + batch).uniform(0.0, 1.0, size=(n, 3))}
+        whole, split = score_batch(per_sample), score_batch(per_sample, batch)
+        assert np.abs(whole[0] - split[0]).max() <= 1e-9
 
 
-def per_weight_oracle(net, finalized):
+def per_weight_oracle(net, means):
     """Per-weight scores built directly, by parameter: a hidden layer's
     weights take their output unit's score, the head's weights the score of
     their input feature's pre-synaptic unit (0 with no LIF before the head)."""
@@ -165,9 +167,9 @@ def per_weight_oracle(net, finalized):
         lif = net.scoring_lif(idx)
         prev = [j for j in net.lif_indices() if j < idx]
         if lif is not None:
-            scores = finalized[lif].reshape((-1,) + (1,) * (len(shape) - 1))
+            scores = means[lif].reshape((-1,) + (1,) * (len(shape) - 1))
         elif prev:
-            units = finalized[prev[-1]]
+            units = means[prev[-1]]
             scores = np.repeat(units, shape[1] // units.size)
         else:
             scores = np.zeros(1)
@@ -175,11 +177,11 @@ def per_weight_oracle(net, finalized):
     return out
 
 
-def expanded(net, finalized):
+def expanded(net, means):
     """The per-weight scores the runs stand for, np.repeat(scores, lengths),
     split by parameter."""
     runs = connection_runs(net)
-    scores = network_connection_scores(runs, finalized)
+    scores = network_connection_scores(runs, means)
     assert scores.shape == runs.lengths.shape and runs.lengths.min() >= 1
     flat = np.repeat(scores, runs.lengths)
     assert flat.shape == (net.n_prunable,)
@@ -188,9 +190,7 @@ def expanded(net, finalized):
 
 def recorded_scores(net, rng, batch=2):
     net.forward(rng.normal(size=(batch,) + tuple(net.spec.input_shape)), training=True)
-    table = CriticalityTable()
-    table.accumulate(scored(net.lif_states()))
-    return table.finalize()
+    return scored(net.lif_states())
 
 
 class TestConnectionScores:
@@ -235,16 +235,16 @@ class TestConnectionScores:
     def test_network_mapping(self):
         rng = np.random.default_rng(12)
         net = SpikingNetwork(vgg_mini(channels=(2, 3)), rng)
-        finalized = recorded_scores(net, rng)
-        per_weight = expanded(net, finalized)
+        means = recorded_scores(net, rng)
+        per_weight = expanded(net, means)
         assert set(per_weight) == {f"layers.{i}.weight" for i, l in enumerate(net.layers)
                                    if l.kind in ("conv", "linear")}
         # head rows repeat the last LIF's channel scores over spatial positions
         head = per_weight["layers.9.weight"]
-        last_lif = max(finalized)
-        hw = head.shape[1] // finalized[last_lif].shape[0]
-        np.testing.assert_array_equal(head[0], np.repeat(finalized[last_lif], hw))
-        oracle = per_weight_oracle(net, finalized)
+        last_lif = max(means)
+        hw = head.shape[1] // means[last_lif].shape[0]
+        np.testing.assert_array_equal(head[0], np.repeat(means[last_lif], hw))
+        oracle = per_weight_oracle(net, means)
         for key, scores in per_weight.items():
             np.testing.assert_array_equal(scores, oracle[key])
 
@@ -254,11 +254,11 @@ class TestConnectionScores:
         net = SpikingNetwork(linear_snn((5, 4, 3)), rng)
         runs = connection_runs(net)
         assert runs.lengths.tolist() == [5] * 4 + [1] * 12
-        finalized = recorded_scores(net, rng)
-        per_weight = expanded(net, finalized)
+        means = recorded_scores(net, rng)
+        per_weight = expanded(net, means)
         np.testing.assert_array_equal(per_weight["layers.2.weight"],
-                                      np.tile(finalized[1], (3, 1)))
-        oracle = per_weight_oracle(net, finalized)
+                                      np.tile(means[1], (3, 1)))
+        oracle = per_weight_oracle(net, means)
         for key, scores in per_weight.items():
             np.testing.assert_array_equal(scores, oracle[key])
 

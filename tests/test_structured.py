@@ -5,7 +5,7 @@ MAC accounting against closed-form arithmetic.
 import numpy as np
 import pytest
 
-from spikeprune.criticality import CriticalityTable, sample_scores, score_batch
+from spikeprune.criticality import sample_scores, score_batch
 from spikeprune.data import DatasetSpec, make_synthetic
 from spikeprune.errors import ArgumentError
 from spikeprune.network import SpikingNetwork, vgg_mini
@@ -297,13 +297,13 @@ class TestPipeline:
     @pytest.mark.parametrize("aggregation", ["max", "mean"])
     @pytest.mark.parametrize("channels", [(12, 24), (64, 128)])
     def test_criticality_over_dataset_equals_full_batch_scores(self, channels, aggregation):
-        """Scoring each batch tile by tile equals score_batch over the batch run
-        once, layer by layer, bit for bit; the batch size is not a multiple of
-        the tile and the last batch is ragged."""
+        """Scoring each batch tile by tile equals score_batch over the per-sample
+        scores of each batch run once, layer by layer, bit for bit; the batch
+        size is not a multiple of the tile and the last batch is ragged."""
         net, rng = rand_net(21, channels=channels)
         t, batch = net.spec.t_steps, net.tile + net.tile // 2 + 1
         x = 2.0 * rng.normal(size=(2 * batch + 3, 1, 8, 8))
-        table = CriticalityTable()
+        runs = []
         for lo in range(0, len(x), batch):
             acts = net.layer_input(x[lo:lo + batch])[None]
             for i, layer in enumerate(net.layers):
@@ -311,8 +311,9 @@ class TestPipeline:
                     acts = np.broadcast_to(acts, (t,) + acts.shape[1:])
                 acts = layer.forward(acts, False)
             states = {i: net.layers[i].state for i in net.lif_indices()}
-            table.accumulate(score_batch(sample_scores(states, aggregation)))
-        full = table.finalize()
+            runs.append(sample_scores(states, aggregation))
+        full = score_batch({key: np.concatenate([r[key] for r in runs]) for key in runs[0]},
+                           batch)
         scores = criticality_over_dataset(net, x, batch, aggregation)
         assert sorted(scores) == [1, 5]
         for bn, got in scores.items():

@@ -267,14 +267,14 @@ class TestRegenerateRuns:
         widths = tuple(int(c) for c in rng.integers(2, 17, size=2))
         net = SpikingNetwork(vgg_mini(channels=widths), np.random.default_rng(0))
         runs = connection_runs(net)
-        finalized = {2: np.round(rng.uniform(0, 1, size=widths[0]), decimals),
+        means = {2: np.round(rng.uniform(0, 1, size=widths[0]), decimals),
                      6: np.round(rng.uniform(0, 1, size=widths[1]), decimals)}
         if rng.random() < 0.3:
-            finalized[2][:] = finalized[2][0]       # every unit of conv 0 ties
-        scores = network_connection_scores(runs, finalized)
+            means[2][:] = means[2][0]       # every unit of conv 0 ties
+        scores = network_connection_scores(runs, means)
         snapshot = np.round(rng.normal(size=net.n_prunable), 1)
         mask = rng.random(net.n_prunable) >= rng.uniform(0.2, 0.9)
-        return net, runs, scores, snapshot, mask, finalized
+        return net, runs, scores, snapshot, mask, means
 
     def _check(self, runs, scores, snapshot, mask, k):
         got_mask, weights = mask.copy(), snapshot * mask
@@ -297,10 +297,10 @@ class TestRegenerateRuns:
     def test_cut_inside_a_tie_group_across_conv_and_head(self):
         rng = np.random.default_rng(22)
         for trial in range(30):
-            net, runs, scores, snapshot, mask, finalized = self._instance(rng)
-            w0, w1 = finalized[2].size, finalized[6].size
+            net, runs, scores, snapshot, mask, means = self._instance(rng)
+            w0, w1 = means[2].size, means[6].size
             c = int(rng.integers(w1))
-            cut = finalized[6][c]
+            cut = means[6][c]
             starts = np.cumsum(runs.lengths) - runs.lengths
             mask[starts[w0 + c]] = False            # conv 4, channel c
             mask[starts[w0 + w1 + c]] = False       # head row 0, channel c
