@@ -79,11 +79,15 @@ def fix_allocator_thresholds():
     mallopt(M_ARENA_MAX, 1)
 
 
-def _out_dir(args, cfg: ExperimentConfig, sub: str) -> str:
-    root = os.environ.get("SPIKEPRUNE_OUT", "runs")
-    path = args.out or cfg.out or os.path.join(root, sub)
-    os.makedirs(path, exist_ok=True)
-    return path
+def _out_dir(args, sub: str, cfg_out: str = "") -> str:
+    """The output directory, which _in creates at the first write: a run
+    refused by any check leaves none behind."""
+    return args.out or cfg_out or os.path.join(os.environ.get("SPIKEPRUNE_OUT", "runs"), sub)
+
+
+def _in(out: str, name: str) -> str:
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
 
 
 def _write_json(path, obj):
@@ -135,13 +139,13 @@ def _fresh_run(cfg: ExperimentConfig):
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args, cfg, "train")
+    out = _out_dir(args, "train", cfg.out)
     rng, data, net = _fresh_run(cfg)
     trainer = Trainer(net, data, _train_cfg(cfg, cfg.epochs, "unstructured"), rng)
     rows = trainer.run_epochs(cfg.epochs)
-    write_csv(os.path.join(out, "train_log.csv"), EPOCH_HEADER, rows)
+    write_csv(_in(out, "train_log.csv"), EPOCH_HEADER, rows)
     save_run_state(
-        os.path.join(out, "checkpoint.ckpt"), net,
+        _in(out, "checkpoint.ckpt"), net,
         meta_extra={"kind": "dense", "config": cfg.to_dict(), "epochs_done": cfg.epochs},
         rng=rng,
     )
@@ -166,7 +170,7 @@ def _unstructured_schedule(cfg: ExperimentConfig, steps_per_epoch: int, prunable
 
 def cmd_prune_unstructured(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args, cfg, "unstructured")
+    out = _out_dir(args, "unstructured", cfg.out)
     if args.resume:
         net, _, meta = load_run_state(args.resume)
         prev = meta_entry(args.resume, meta, "config", ExperimentConfig.from_dict)
@@ -190,31 +194,31 @@ def cmd_prune_unstructured(args) -> int:
         meta_entry(args.resume, meta, "rng_state", lambda state: restore_rng(rng, state))
     else:
         rng, data, net = _fresh_run(cfg)
-        if cfg.N_pre > 0:
-            pre = Trainer(net, data, _train_cfg(cfg, cfg.N_pre, "unstructured"), rng)
-            rows = pre.run_epochs(cfg.N_pre)
-            write_csv(os.path.join(out, "pretrain_log.csv"), EPOCH_HEADER, rows)
 
+    # checked before pretraining, so that a refused budget costs no training
     trainer = Trainer(net, data, _train_cfg(cfg, cfg.N_p + cfg.N_f, "unstructured"), rng)
     sched = _unstructured_schedule(cfg, trainer.steps_per_epoch, net.n_prunable, args.gmp_only)
+    if not args.resume and cfg.N_pre > 0:
+        pre = Trainer(net, data, _train_cfg(cfg, cfg.N_pre, "unstructured"), rng)
+        write_csv(_in(out, "pretrain_log.csv"), EPOCH_HEADER, pre.run_epochs(cfg.N_pre))
     res = prune_loop(net, trainer, sched, epochs=cfg.N_p + cfg.N_f,
                      aggregation=cfg.aggregation, gmp_only=args.gmp_only)
 
-    write_csv(os.path.join(out, "epoch_log.csv"), EPOCH_HEADER, res.epoch_rows)
-    write_csv(os.path.join(out, "prune_log.csv"), PRUNE_HEADER,
+    write_csv(_in(out, "epoch_log.csv"), EPOCH_HEADER, res.epoch_rows)
+    write_csv(_in(out, "prune_log.csv"), PRUNE_HEADER,
               [(e.iteration, e.step, e.s_t, e.s_prime, e.k, e.rescue_fraction,
                 e.train_acc) for e in res.events])
 
     hist_arrays = {f"it{i:04d}.{name}": m for i, pair in enumerate(res.mask_history, start=1)
                    for name, m in zip(("post_prune", "post_regen"), pair)}
-    checkpoint.save(os.path.join(out, "mask_history.ckpt"), hist_arrays,
+    checkpoint.save(_in(out, "mask_history.ckpt"), hist_arrays,
                     {"iterations": len(res.mask_history), "total": res.mask.size})
 
     report = survival_report(res.ledger, res.mask)
-    _write_json(os.path.join(out, "survival.json"), report)
+    _write_json(_in(out, "survival.json"), report)
 
     save_run_state(
-        os.path.join(out, "checkpoint_final.ckpt"), net,
+        _in(out, "checkpoint_final.ckpt"), net,
         meta_extra={"kind": "unstructured", "config": cfg.to_dict(),
                     "sparsity": sparsity(res.mask),
                     "survived_via_regeneration": report["survived_via_regeneration"]},
@@ -227,7 +231,7 @@ def cmd_prune_unstructured(args) -> int:
 
 def cmd_prune_structured(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args, cfg, "structured")
+    out = _out_dir(args, "structured", cfg.out)
     rng, data, net = _fresh_run(cfg)
 
     def make_trainer(network, epochs):
@@ -238,24 +242,24 @@ def cmd_prune_structured(args) -> int:
         percent=cfg.percent, r=cfg.regen_ratio("structured"), lambda_l1=cfg.s,
         batch_size=cfg.batch_size, aggregation=cfg.aggregation,
     )
-    write_csv(os.path.join(out, "train_log.csv"), EPOCH_HEADER, res.train_rows)
-    write_csv(os.path.join(out, "finetune_log.csv"), EPOCH_HEADER, res.finetune_rows)
-    write_csv(os.path.join(out, "criticality.csv"), "layer,unit,score",
+    write_csv(_in(out, "train_log.csv"), EPOCH_HEADER, res.train_rows)
+    write_csv(_in(out, "finetune_log.csv"), EPOCH_HEADER, res.finetune_rows)
+    write_csv(_in(out, "criticality.csv"), "layer,unit,score",
               scores_to_rows(res.channel_scores))
-    _write_json(os.path.join(out, "flops.json"), res.flops.to_dict())
+    _write_json(_in(out, "flops.json"), res.flops.to_dict())
 
     surviving = np.concatenate([np.isin(np.arange(width), res.plan.keep[layer])
                                 for layer, width in sorted(res.plan.widths.items())])
     report = survival_report(res.ledger, surviving)
-    _write_json(os.path.join(out, "survival.json"), report)
+    _write_json(_in(out, "survival.json"), report)
 
     save_run_state(
-        os.path.join(out, "checkpoint_l1.ckpt"), net,
+        _in(out, "checkpoint_l1.ckpt"), net,
         meta_extra={"kind": "structured-l1", "config": cfg.to_dict()},
         rng=rng,
     )
     save_run_state(
-        os.path.join(out, "checkpoint_slim.ckpt"), res.net,
+        _in(out, "checkpoint_slim.ckpt"), res.net,
         meta_extra={"kind": "structured-slim", "config": cfg.to_dict(),
                     "plan": res.plan.to_dict(), "flops": res.flops.to_dict(),
                     "force_kept": [list(fc) for fc in res.info.force_kept]},
@@ -296,18 +300,17 @@ def _gammas_over_original_axis(path):
 
 
 def cmd_analyze(args) -> int:
-    out = args.out or os.path.join(os.environ.get("SPIKEPRUNE_OUT", "runs"), "analyze")
-    os.makedirs(out, exist_ok=True)
+    out = _out_dir(args, "analyze")
     if args.metric in ("variance", "cosine"):
         train, test, cfg = _banks_from_checkpoint(args.checkpoint)
         if args.metric == "variance":
             rows = [(split, cls, intra_cluster_variance(bank, cls)) for cls in range(cfg.classes)
                     for split, bank in (("train", train), ("test", test))]
-            write_csv(os.path.join(out, "variance.csv"), "split,class,variance", rows)
+            write_csv(_in(out, "variance.csv"), "split,class,variance", rows)
         else:
             rows = [(cls, class_mean_cosine(train, test, cls))
                     for cls in range(cfg.classes)]
-            write_csv(os.path.join(out, "cosine.csv"), "class,cosine", rows)
+            write_csv(_in(out, "cosine.csv"), "class,cosine", rows)
     elif args.metric == "transition":
         if not args.checkpoint_b:
             raise ConfigError("--metric transition needs --checkpoint-b")
@@ -315,14 +318,14 @@ def cmd_analyze(args) -> int:
         plan_b, gam_b = _gammas_over_original_axis(args.checkpoint_b)
         result = importance_transition(plan_a, gam_a, plan_b, gam_b)
         if result is None:
-            write_csv(os.path.join(out, "transition.csv"),
+            write_csv(_in(out, "transition.csv"),
                       "side,layer,channel,gamma_norm", [])
             print("analyze: channel plans are identical; no non-overlapping channels")
             return 0
         mean_a, mean_b, rows = result
-        write_csv(os.path.join(out, "transition.csv"),
+        write_csv(_in(out, "transition.csv"),
                   "side,layer,channel,gamma_norm", rows)
-        _write_json(os.path.join(out, "transition_summary.json"),
+        _write_json(_in(out, "transition_summary.json"),
                     {"mean_a": mean_a, "mean_b": mean_b})
     elif args.metric == "survival":
         run_dir = os.path.dirname(os.path.abspath(args.checkpoint))
@@ -342,9 +345,9 @@ def cmd_analyze(args) -> int:
         report = replay_mask_history(np.ones(total, dtype=bool), history)
         rows = [(it["iteration"], it["pruned"], it["regenerated"], it["rescue_fraction"])
                 for it in report["iterations"]]
-        write_csv(os.path.join(out, "survival.csv"),
+        write_csv(_in(out, "survival.csv"),
                   "iteration,pruned,regenerated,rescue_fraction", rows)
-        _write_json(os.path.join(out, "survival_recomputed.json"), report)
+        _write_json(_in(out, "survival_recomputed.json"), report)
     print(f"analyze: {args.metric} written to {out}")
     return 0
 

@@ -29,8 +29,7 @@ class ExperimentConfig:
     seed: int = 0
     out: str = ""
 
-    # architecture
-    arch: str = "vgg_mini"
+    # architecture (a vgg_mini stack)
     channels: tuple = (12, 24)
     kernel: int = 3
     pool: int = 2
@@ -131,8 +130,8 @@ _RULES = {
     "N_pre": ">= 0", "delta_t": ">= 1", "s_f": "in (0, 1)", "N_t": ">= 1", "N_1": ">= 0",
     "N_2": ">= 0", "s": ">= 0", "percent": "in [0, 1)",
 }
-_CHOICES = {"arch": ("vgg_mini",), "dataset": ("synthetic", "idx"),
-            "lr_schedule": ("", "cosine", "step"), "aggregation": ("max", "mean")}
+_CHOICES = {"dataset": ("synthetic", "idx"), "lr_schedule": ("", "cosine", "step"),
+            "aggregation": ("max", "mean")}
 
 
 def _parse_value(key: str, raw: str):

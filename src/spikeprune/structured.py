@@ -5,7 +5,7 @@ slimming of the network, and multiply-accumulate accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -14,6 +14,10 @@ from .criticality import sample_scores, score_batch
 from .errors import ArgumentError, DimensionError
 from .network import NetworkSpec, SpikingNetwork, trace_shapes
 from .unstructured import extend_sparsity, prune_global_magnitude, regenerate, round_half_up
+
+# The LayerSpec fields holding each narrowed kind's (output, input) widths.
+_WIDTH_FIELDS = {"conv": ("out_channels", "in_channels"), "batchnorm": ("out_channels", None),
+                 "linear": ("out_features", "in_features")}
 
 
 @dataclass
@@ -107,81 +111,62 @@ def prune_and_regenerate_channels(net: SpikingNetwork, percent: float, r: float,
 # Surgery
 # ---------------------------------------------------------------------------
 
-def apply_plan_to_spec(spec: NetworkSpec, plan: ChannelPlan) -> NetworkSpec:
-    """NetworkSpec with channel widths reduced per the plan."""
+def _kept(spec: NetworkSpec, plan: ChannelPlan) -> dict:
+    """Original indices each narrowed layer keeps: layer -> (kept outputs,
+    kept inputs), None for an axis kept whole.
+
+    A conv keeps its batch norm's channels as outputs and the previous
+    conv's as inputs; a batch norm keeps its own channels; the linear after
+    the conv stack keeps the last conv's channels, each as its h*w block of
+    Flatten's (C, H, W) columns. Layers absent from the map are kept whole.
+    """
     shapes = trace_shapes(spec)
-    new_layers = []
-    kept_in = None                       # None = input channels untouched
+    kept, prev = {}, None               # prev: the last conv's kept channels
     for i, ls in enumerate(spec.layers):
         if ls.kind == "conv":
-            keep_out = plan.keep.get(i + 1)
-            if keep_out is None:
+            if i + 1 not in plan.keep:
                 raise DimensionError(f"plan has no entry for batch norm after conv {i}")
-            new_layers.append(ls.__class__(
-                "conv",
-                in_channels=ls.in_channels if kept_in is None else len(kept_in),
-                out_channels=len(keep_out),
-                kernel=ls.kernel, stride=ls.stride, padding=ls.padding,
-            ))
-            kept_in = keep_out
+            kept[i] = (plan.keep[i + 1], prev)
+            prev = plan.keep[i + 1]
         elif ls.kind == "batchnorm":
-            new_layers.append(ls.__class__("batchnorm", out_channels=len(plan.keep[i])))
-        elif ls.kind == "linear":
-            if kept_in is None:
-                new_layers.append(ls)
-            else:
-                if spec.layers[i - 1].kind != "flatten":
-                    raise DimensionError(
-                        "slimming expects the linear after the conv stack to follow a flatten"
-                    )
-                c_, h_, w_ = shapes[i - 2]
-                new_layers.append(ls.__class__(
-                    "linear",
-                    in_features=len(kept_in) * h_ * w_,
-                    out_features=ls.out_features,
-                ))
-                kept_in = None
-        else:
-            new_layers.append(ls)
-    return NetworkSpec(input_shape=spec.input_shape, layers=new_layers,
-                       t_steps=spec.t_steps, lif=spec.lif)
+            kept[i] = (plan.keep[i], None)
+        elif ls.kind == "linear" and prev is not None:
+            if spec.layers[i - 1].kind != "flatten":
+                raise DimensionError(
+                    "slimming expects the linear after the conv stack to follow a flatten"
+                )
+            _, h, w = shapes[i - 2]
+            kept[i] = (None, np.add.outer(np.multiply(prev, h * w), np.arange(h * w)).ravel())
+            prev = None
+    return kept
+
+
+def apply_plan_to_spec(spec: NetworkSpec, plan: ChannelPlan) -> NetworkSpec:
+    """NetworkSpec with channel widths reduced per the plan."""
+    layers = list(spec.layers)
+    for i, axes in _kept(spec, plan).items():
+        widths = zip(_WIDTH_FIELDS[layers[i].kind], axes)
+        layers[i] = replace(layers[i], **{f: len(idx) for f, idx in widths if idx is not None})
+    return replace(spec, layers=layers)
 
 
 def slim(net: SpikingNetwork, plan: ChannelPlan) -> SpikingNetwork:
-    """Physically remove pruned channels; output matches the gamma/beta-masked
-    original within float roundoff for every input."""
+    """Physically remove pruned channels: every array of the slimmed net is
+    the original's of the same arena name, indexed through _kept. The output
+    matches the gamma/beta-masked original within float roundoff."""
     for layer, width in plan.widths.items():
         if net.layers[layer].kind != "batchnorm" or net.layers[layer].channels != width:
             raise DimensionError(f"plan does not match network at layer {layer}")
-    spec = net.spec
-    new_spec = apply_plan_to_spec(spec, plan)
-    out = SpikingNetwork(new_spec, np.random.default_rng(0))
-    kept_in = None
-    for i, ls in enumerate(spec.layers):
-        src = net.layers[i]
-        dst = out.layers[i]
-        if ls.kind == "conv":
-            keep_out = plan.keep[i + 1]
-            w = src.weight[keep_out]
-            if kept_in is not None:
-                w = w[:, kept_in]
-            dst.weight[...] = w
-            kept_in = keep_out
-        elif ls.kind == "batchnorm":
-            keep = plan.keep[i]
-            dst.gamma[...] = src.gamma[keep]
-            dst.beta[...] = src.beta[keep]
-            dst.running_mean = src.running_mean[keep].copy()
-            dst.running_var = src.running_var[keep].copy()
-        elif ls.kind == "linear":
-            if kept_in is None:
-                dst.weight[...] = src.weight
-            else:
-                hw = dst.weight.shape[1] // len(kept_in)    # features per channel
-                cols = src.weight.reshape(len(src.bias), -1, hw)[:, kept_in]
-                dst.weight[...] = cols.reshape(dst.weight.shape)
-                kept_in = None
-            dst.bias[...] = src.bias
+    kept = _kept(net.spec, plan)
+    out = SpikingNetwork(apply_plan_to_spec(net.spec, plan), np.random.default_rng(0))
+    stats = net.state_arrays()
+    for name, arr in {**net.parameters(), **stats}.items():
+        keep_out, keep_in = kept.get(int(name.split(".")[1]), (None, None))
+        if keep_out is not None:
+            arr = arr[keep_out]
+        if keep_in is not None and arr.ndim > 1:     # a bias has no input axis
+            arr = arr[:, keep_in]
+        (out.set_state_array if name in stats else out.set_parameter)(name, arr)
     return out
 
 

@@ -18,6 +18,7 @@ from .unstructured import sparsity
 
 EPOCH_HEADER = "epoch,lr,train_loss,train_acc,test_loss,test_acc,sparsity"
 PRUNE_HEADER = "iteration,step,s_t,s_prime,k,regenerated_fraction,train_acc"
+EVAL_SLICE = 256            # rows per slice of the summed test loss
 
 
 def fmt(v) -> str:
@@ -83,15 +84,15 @@ class Trainer:
                                f"lr {float(lr)!r}: {exc}") from None
         return float(loss), acc
 
-    def evaluate(self, batch_size: int = 256):
+    def evaluate(self):
         """(loss, accuracy) on the test split from one inference forward; the
-        loss is summed over batch_size-row slices of the logits."""
+        loss is summed over EVAL_SLICE-row slices of the logits."""
         x, y = self.data.x_test, self.data.y_test
         logits = self.net.forward(x, training=False)
         losses = 0.0
-        for i in range(0, len(y), batch_size):
-            yb = y[i:i + batch_size]
-            loss, _, _ = loss_ce_l1(logits[i:i + batch_size], yb)
+        for i in range(0, len(y), EVAL_SLICE):
+            yb = y[i:i + EVAL_SLICE]
+            loss, _, _ = loss_ce_l1(logits[i:i + EVAL_SLICE], yb)
             losses += loss * len(yb)
         hits = (logits.argmax(axis=1) == y).sum()
         return float(losses / len(y)), float(hits / len(y))

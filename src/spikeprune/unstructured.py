@@ -66,13 +66,13 @@ def sparsity(mask: np.ndarray) -> float:
     return 1.0 - int(np.count_nonzero(mask)) / mask.size
 
 
-def select_first(key: np.ndarray, k: int, next_key: np.ndarray | None = None) -> np.ndarray:
+def select_first(key: np.ndarray, k: int) -> np.ndarray:
     """Bool selector of the k entries that come first in ascending
-    (key, next_key, position) order, in time linear in key.size.
+    (key, position) order, in time linear in key.size.
 
     np.partition finds the key value at the cut; every entry strictly below
-    it is taken, and only the tie group at the cut is ordered, by next_key
-    and then position. Keys must be free of NaN.
+    it is taken, and the tie group at the cut is taken in position order.
+    Keys must be free of NaN.
     """
     sel = np.zeros(key.size, dtype=bool)
     if k == 0:
@@ -80,10 +80,7 @@ def select_first(key: np.ndarray, k: int, next_key: np.ndarray | None = None) ->
     kth = np.partition(key, k - 1)[k - 1]
     np.less(key, kth, out=sel)
     tie = np.flatnonzero(key == kth)
-    need = k - int(np.count_nonzero(sel))
-    if next_key is not None and need < tie.size:
-        tie = tie[np.argsort(next_key[tie], kind="stable")]
-    sel[tie[:need]] = True
+    sel[tie[:k - int(np.count_nonzero(sel))]] = True
     return sel
 
 

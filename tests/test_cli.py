@@ -475,6 +475,37 @@ class TestErrors:
         assert "key 's_f'" in err and "none of the 108 prunable weights" in err
         assert main(argv + ["--gmp-only"]) == 0
 
+    @pytest.mark.parametrize("case", ["train-idx", "structured-idx", "resume-seed",
+                                      "budget-after-pretraining", "analyze-checkpoint",
+                                      "analyze-checkpoint-b"])
+    def test_refused_run_leaves_no_directory(self, tiny_cfg, capsys, case):
+        """A run refused by any check exits 2 with one error line and writes
+        nothing, not even its output directory."""
+        cfg, root = tiny_cfg
+        idx = root / "idx.cfg"
+        idx.write_text(TINY + "dataset = idx\n" + "".join(
+            f"idx_{split}_{kind} = {root / 'missing.idx'}\n"
+            for split in ("train", "test") for kind in ("images", "labels")))
+        budget = root / "budget.cfg"
+        budget.write_text(TINY.replace("delta_t = 4", "delta_t = 50"))
+        bad = root / "bad.ckpt"
+        bad.write_bytes(b"not a checkpoint")
+        if case == "resume-seed":
+            assert main(["train", "--config", cfg, "--out", str(root / "t")]) == 0
+            capsys.readouterr()
+        argv = {
+            "train-idx": ["train", "--config", str(idx)],
+            "structured-idx": ["prune-structured", "--config", str(idx)],
+            "resume-seed": ["prune-unstructured", "--config", cfg, "--seed", "99",
+                            "--resume", str(root / "t" / "checkpoint.ckpt")],
+            "budget-after-pretraining": ["prune-unstructured", "--config", str(budget)],
+            "analyze-checkpoint": ["analyze", "--checkpoint", str(bad), "--metric", "cosine"],
+            "analyze-checkpoint-b": ["analyze", "--checkpoint", str(bad),
+                                     "--metric", "transition"],
+        }[case]
+        self._one_error_line(argv + ["--out", str(root / "o")], capsys)
+        assert not (root / "o").exists()
+
     def test_survival_zeros_on_r0_run(self, tiny_cfg):
         cfg, root = tiny_cfg
         with open(cfg, "a") as f:

@@ -8,10 +8,11 @@ import pytest
 from spikeprune.criticality import sample_scores, score_batch
 from spikeprune.data import DatasetSpec, make_synthetic
 from spikeprune.errors import ArgumentError
-from spikeprune.network import SpikingNetwork, vgg_mini
+from spikeprune.network import LayerSpec, NetworkSpec, SpikingNetwork, vgg_mini
 from spikeprune.optim import TrainConfig
 from spikeprune.structured import (
     ChannelPlan,
+    apply_plan_to_spec,
     bn_gammas,
     count_flops,
     criticality_over_dataset,
@@ -207,6 +208,43 @@ class TestSlim:
         a = masked.forward(x, training=True)
         b = slimmed.forward(x, training=True)
         assert np.abs(a - b).max() <= 1e-5
+
+    def test_every_array_equals_the_original_indexed_by_hand(self):
+        """Both conv blocks narrowed: each conv keeps its BN's channels as
+        outputs and the previous conv's as inputs, and the head keeps the
+        last conv's channels as blocks of h*w = 2*2 columns."""
+        net, _ = rand_net(7, channels=(3, 5))
+        first, second = [0, 2], [1, 3, 4]
+        slimmed = slim(net, ChannelPlan(keep={1: first, 5: second}, widths={1: 3, 5: 5}))
+        src = {**net.parameters(), **net.state_arrays()}
+        cols = [4 * c + j for c in second for j in range(4)]
+        expected = {
+            "layers.0.weight": src["layers.0.weight"][first],
+            "layers.4.weight": src["layers.4.weight"][second][:, first],
+            "layers.9.weight": src["layers.9.weight"][:, cols],
+            "layers.9.bias": src["layers.9.bias"],
+        }
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            expected[f"layers.1.{name}"] = src[f"layers.1.{name}"][first]
+            expected[f"layers.5.{name}"] = src[f"layers.5.{name}"][second]
+        got = {**slimmed.parameters(), **slimmed.state_arrays()}
+        assert sorted(got) == sorted(expected)
+        for name, arr in got.items():
+            np.testing.assert_array_equal(arr, expected[name], err_msg=name)
+
+    def test_spec_keeps_every_layer_field(self):
+        """A conv without padding keeps its padding, and the head its width
+        of the 6x6 map pooled to 3x3, through the narrowed spec."""
+        spec = NetworkSpec(input_shape=(1, 8, 8), layers=[
+            LayerSpec("conv", in_channels=1, out_channels=4, kernel=3, stride=1, padding=0),
+            LayerSpec("batchnorm", out_channels=4), LayerSpec("lif"),
+            LayerSpec("avgpool", window=2, stride=2), LayerSpec("flatten"),
+            LayerSpec("linear", in_features=36, out_features=3)])
+        narrowed = apply_plan_to_spec(spec, ChannelPlan(keep={1: [0, 2]}, widths={1: 4}))
+        assert narrowed.layers[0] == LayerSpec("conv", in_channels=1, out_channels=2,
+                                               kernel=3, stride=1, padding=0)
+        assert narrowed.layers[5] == LayerSpec("linear", in_features=18, out_features=3)
+        assert narrowed.layers[2:5] == spec.layers[2:5]
 
     def test_plan_validation(self):
         with pytest.raises(ArgumentError):

@@ -74,10 +74,9 @@ def ones(w):
     return np.ones(w.size, dtype=bool)
 
 
-def first_by_sort(key, k, next_key=None):
-    """Reference for select_first: a full (key, next_key, position) sort."""
-    nk = np.zeros(key.size) if next_key is None else next_key
-    order = sorted(range(key.size), key=lambda i: (key[i], nk[i], i))
+def first_by_sort(key, k):
+    """Reference for select_first: a full (key, position) sort."""
+    order = sorted(range(key.size), key=lambda i: (key[i], i))
     return np.isin(np.arange(key.size), order[:k])
 
 
@@ -85,9 +84,6 @@ class TestSelectFirst:
     def test_all_keys_equal(self):
         key = np.full(7, 0.5)
         np.testing.assert_array_equal(np.flatnonzero(select_first(key, 3)), [0, 1, 2])
-        next_key = np.array([3.0, 1.0, 2.0, 1.0, 0.0, 3.0, 2.0])
-        np.testing.assert_array_equal(np.flatnonzero(select_first(key, 3, next_key)),
-                                      [1, 3, 4])
 
     def test_cut_at_end_of_masked_group(self):
         key = np.array([-1.0, 0.3, -1.0, 0.0, -1.0, 0.3])
@@ -96,24 +92,18 @@ class TestSelectFirst:
     def test_boundary_tie_group_larger_than_need(self):
         key = np.array([0.1, 0.5, 0.5, 0.5, 0.9, 0.5])
         np.testing.assert_array_equal(np.flatnonzero(select_first(key, 3)), [0, 1, 2])
-        next_key = np.array([0.0, 3.0, 1.0, 2.0, 0.0, 1.0])
-        np.testing.assert_array_equal(np.flatnonzero(select_first(key, 3, next_key)),
-                                      [0, 2, 5])
 
     def test_k_zero_and_k_all(self):
         key = np.array([0.2, -1.0, 0.2, 0.7])
         assert not select_first(key, 0).any()
-        assert select_first(key, key.size, -key).all()
+        assert select_first(key, key.size).all()
 
     def test_matches_full_sort_on_tied_keys(self):
         rng = np.random.default_rng(4)
         for trial in range(50):
             n = int(rng.integers(1, 60))
             key = rng.integers(0, 4, size=n).astype(float)
-            next_key = rng.integers(0, 3, size=n).astype(float)
             k = int(rng.integers(0, n + 1))
-            np.testing.assert_array_equal(select_first(key, k, next_key),
-                                          first_by_sort(key, k, next_key))
             np.testing.assert_array_equal(select_first(key, k), first_by_sort(key, k))
 
 
