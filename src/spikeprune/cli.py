@@ -19,9 +19,10 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import checkpoint
+from . import checkpoint, structured
 from .analysis import (
     FeatureBank,
+    SurvivalLedger,
     class_mean_cosine,
     extract_features,
     importance_transition,
@@ -36,7 +37,6 @@ from .errors import ConfigError
 from .layers import LIFParams
 from .network import SpikingNetwork, vgg_mini
 from .optim import TrainConfig
-from .structured import ChannelPlan, structured_pipeline
 from .train import (
     EPOCH_HEADER,
     PRUNE_HEADER,
@@ -233,24 +233,31 @@ def cmd_prune_structured(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args, "structured", cfg.out)
     rng, data, net = _fresh_run(cfg)
+    trainer = Trainer(net, data, _train_cfg(cfg, cfg.N_t, "structured"), rng)
+    train_rows = trainer.run_epochs(cfg.N_t, lambda_l1=cfg.s)
 
-    def make_trainer(network, epochs):
-        return Trainer(network, data, _train_cfg(cfg, epochs, "structured"), rng)
+    # Each phase is looked up on the structured module at call time: the
+    # benchmark's spans patch it there, and a name imported into this module
+    # would run unpatched and drop the span and its probe.
+    scores = structured.criticality_over_dataset(net, data.x_train, cfg.batch_size,
+                                                 cfg.aggregation)
+    plan, info = structured.prune_and_regenerate_channels(
+        net, cfg.percent, cfg.regen_ratio("structured"), scores)
+    ledger = SurvivalLedger(plan.total_channels)
+    ledger.on_iteration(1, info.pruned, info.regenerated)
+    slimmed = structured.slim(net, plan)
+    flops = structured.count_flops(net.spec, plan)
+    finetuner = Trainer(slimmed, data, _train_cfg(cfg, cfg.N_f, "structured"), rng)
+    finetune_rows = finetuner.run_epochs(cfg.N_f)
 
-    res = structured_pipeline(
-        net, make_trainer, train_epochs=cfg.N_t, finetune_epochs=cfg.N_f,
-        percent=cfg.percent, r=cfg.regen_ratio("structured"), lambda_l1=cfg.s,
-        batch_size=cfg.batch_size, aggregation=cfg.aggregation,
-    )
-    write_csv(_in(out, "train_log.csv"), EPOCH_HEADER, res.train_rows)
-    write_csv(_in(out, "finetune_log.csv"), EPOCH_HEADER, res.finetune_rows)
-    write_csv(_in(out, "criticality.csv"), "layer,unit,score",
-              scores_to_rows(res.channel_scores))
-    _write_json(_in(out, "flops.json"), res.flops.to_dict())
+    write_csv(_in(out, "train_log.csv"), EPOCH_HEADER, train_rows)
+    write_csv(_in(out, "finetune_log.csv"), EPOCH_HEADER, finetune_rows)
+    write_csv(_in(out, "criticality.csv"), "layer,unit,score", scores_to_rows(scores))
+    _write_json(_in(out, "flops.json"), flops.to_dict())
 
-    surviving = np.concatenate([np.isin(np.arange(width), res.plan.keep[layer])
-                                for layer, width in sorted(res.plan.widths.items())])
-    report = survival_report(res.ledger, surviving)
+    surviving = np.concatenate([np.isin(np.arange(width), plan.keep[layer])
+                                for layer, width in sorted(plan.widths.items())])
+    report = survival_report(ledger, surviving)
     _write_json(_in(out, "survival.json"), report)
 
     save_run_state(
@@ -259,16 +266,15 @@ def cmd_prune_structured(args) -> int:
         rng=rng,
     )
     save_run_state(
-        _in(out, "checkpoint_slim.ckpt"), res.net,
+        _in(out, "checkpoint_slim.ckpt"), slimmed,
         meta_extra={"kind": "structured-slim", "config": cfg.to_dict(),
-                    "plan": res.plan.to_dict(), "flops": res.flops.to_dict(),
-                    "force_kept": [list(fc) for fc in res.info.force_kept]},
+                    "plan": plan.to_dict(), "flops": flops.to_dict(),
+                    "force_kept": [list(fc) for fc in info.force_kept]},
         rng=rng,
     )
-    final_acc = (res.finetune_rows[-1][5] if res.finetune_rows
-                 else make_trainer(res.net, 0).evaluate()[1])
-    print(f"prune-structured: kept {res.plan.survivors()}/{res.plan.total_channels} "
-          f"channels, flops reduction {res.flops.reduction:.4f}, "
+    final_acc = finetune_rows[-1][5] if finetune_rows else finetuner.evaluate()[1]
+    print(f"prune-structured: kept {plan.survivors()}/{plan.total_channels} "
+          f"channels, flops reduction {flops.reduction:.4f}, "
           f"final test acc {final_acc:.4f}, artifacts in {out}")
     return 0
 
@@ -290,7 +296,7 @@ def _gammas_over_original_axis(path):
     net, _, meta = load_run_state(path)
     if "plan" not in meta:
         raise ConfigError(f"{path}: checkpoint has no channel plan (not a slimmed model)")
-    plan = meta_entry(path, meta, "plan", ChannelPlan.from_dict)
+    plan = meta_entry(path, meta, "plan", structured.ChannelPlan.from_dict)
     gammas = {}
     for layer, keep in plan.keep.items():
         full = np.zeros(plan.widths[layer])

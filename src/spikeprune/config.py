@@ -111,11 +111,12 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        cfg = ExperimentConfig()
-        for f in fields(cfg):
-            if f.name in d:
-                v = d[f.name]
-                setattr(cfg, f.name, tuple(v) if isinstance(getattr(cfg, f.name), tuple) else v)
+        """to_dict's inverse, checked as a config file is; unknown keys are
+        ignored."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be an object, got {type(d).__name__}")
+        cfg = ExperimentConfig(**{key: _json_value(key, d[key]) for key in _KINDS if key in d})
+        validate(cfg)
         return cfg
 
 
@@ -145,6 +146,18 @@ def _parse_value(key: str, raw: str):
     if kind == "float" and not math.isfinite(value):
         raise ConfigError(f"key {key!r}: must be finite, got {raw!r}")
     return value
+
+
+def _json_value(key: str, v):
+    """A to_dict value held to key's kind (an int is no bool, a float may be
+    an int, a tuple is a non-empty list of ints), then parsed from its text
+    as a config file's value is, so a float must be finite."""
+    kind, items = _KINDS[key], v if isinstance(v, list) else [v]
+    fits = {"int": int, "float": (int, float), "str": str, "tuple": int}[kind]
+    if ((kind == "tuple") != isinstance(v, list) or not items
+            or not all(isinstance(e, fits) and not isinstance(e, bool) for e in items)):
+        raise ConfigError(f"key {key!r}: expected {kind}, got {v!r}")
+    return v if kind == "str" else _parse_value(key, ", ".join(map(str, items)))
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import SurvivalLedger
 from .criticality import sample_scores, score_batch
 from .errors import ArgumentError, DimensionError
 from .network import NetworkSpec, SpikingNetwork, trace_shapes
@@ -237,7 +236,7 @@ def count_flops(spec: NetworkSpec, plan: ChannelPlan | None = None) -> FlopsRepo
 
 
 # ---------------------------------------------------------------------------
-# Pipeline
+# Criticality
 # ---------------------------------------------------------------------------
 
 def criticality_over_dataset(net: SpikingNetwork, x: np.ndarray, batch_size: int,
@@ -258,41 +257,3 @@ def criticality_over_dataset(net: SpikingNetwork, x: np.ndarray, batch_size: int
     net.forward(x, training=False, on_tile=on_tile)
     means = score_batch(per_sample, batch_size)
     return {i: means[net.scoring_lif(i)] for i in bn_gammas(net)}
-
-
-@dataclass
-class StructuredRunResult:
-    plan: ChannelPlan
-    info: ChannelPruneInfo
-    net: SpikingNetwork           # slimmed, fine-tuned
-    flops: FlopsReport
-    ledger: SurvivalLedger
-    train_rows: list
-    finetune_rows: list
-    channel_scores: dict
-
-
-def structured_pipeline(net, make_trainer, train_epochs: int, finetune_epochs: int,
-                        percent: float, r: float, lambda_l1: float,
-                        batch_size: int, aggregation: str = "max") -> StructuredRunResult:
-    """Three phases: L1-sparsified training, prune+regenerate+slim, fine-tune.
-
-    make_trainer(net, epochs) builds a fresh training loop around a network;
-    the fine-tune phase runs without the L1 term.
-    """
-    trainer = make_trainer(net, train_epochs)
-    train_rows = trainer.run_epochs(train_epochs, lambda_l1=lambda_l1)
-
-    scores = criticality_over_dataset(net, trainer.data.x_train, batch_size, aggregation)
-    plan, info = prune_and_regenerate_channels(net, percent, r, scores)
-
-    ledger = SurvivalLedger(plan.total_channels)
-    ledger.on_iteration(1, info.pruned, info.regenerated)
-
-    slimmed = slim(net, plan)
-    flops = count_flops(net.spec, plan)
-    finetuner = make_trainer(slimmed, finetune_epochs)
-    finetune_rows = finetuner.run_epochs(finetune_epochs, lambda_l1=0.0)
-    return StructuredRunResult(plan=plan, info=info, net=slimmed, flops=flops,
-                               ledger=ledger, train_rows=train_rows,
-                               finetune_rows=finetune_rows, channel_scores=scores)

@@ -2,21 +2,18 @@
 
 Criteria 1-9, 11 and 12 time one check of `spikeprune.verify` (the same
 instances `spikeprune verify` runs); criterion 10, the full desk experiment,
-lives only here. Run with `pytest -s tests/test_acceptance.py` to see the
+runs its legs through `spikeprune.cli.main` at the default config and reads
+their logs. Run with `pytest -s tests/test_acceptance.py` to see the
 per-criterion lines (criterion 10 dominates the runtime).
 """
 
+import contextlib
+import io
 import time
 
 import numpy as np
 
-from spikeprune import verify
-from spikeprune.config import ExperimentConfig
-from spikeprune.data import load_dataset
-from spikeprune.network import SpikingNetwork, vgg_mini
-from spikeprune.optim import TrainConfig
-from spikeprune.train import Trainer
-from spikeprune.unstructured import SparsitySchedule, prune_loop, sparsity
+from spikeprune import checkpoint, cli, verify
 
 
 def report(num, ok, detail):
@@ -68,44 +65,31 @@ def test_criterion_09_flops_accounting():
     report(9, *verify.check_flops())
 
 
-def _experiment_run(seed, variant):
-    """One leg of the desk experiment; variant in {dense, gmp, regen}."""
-    cfg = ExperimentConfig(seed=seed)
-    rng = np.random.default_rng(seed)
-    data = load_dataset(cfg.dataset_spec(), rng)
-    net = SpikingNetwork(vgg_mini(input_shape=cfg.image, channels=cfg.channels,
-                                  classes=cfg.classes, t_steps=cfg.T), rng)
-    if variant == "dense":
-        tc = TrainConfig(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.wd,
-                         batch_size=cfg.batch_size, epochs=cfg.epochs)
-        trainer = Trainer(net, data, tc, rng)
-        rows = trainer.run_epochs(cfg.epochs)
-        return rows[-1][5], 0.0
-    epochs = cfg.N_p + cfg.N_f
-    tc = TrainConfig(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.wd,
-                     batch_size=cfg.batch_size, epochs=epochs)
-    trainer = Trainer(net, data, tc, rng)
-    t_f = (cfg.N_p * trainer.steps_per_epoch // cfg.delta_t) * cfg.delta_t
-    sched = SparsitySchedule(s_f=0.9, delta_t=cfg.delta_t, t_f=t_f,
-                             r=0.5 if variant == "regen" else 0.0)
-    res = prune_loop(net, trainer, sched, epochs=epochs,
-                     gmp_only=(variant == "gmp"))
-    return res.epoch_rows[-1][5], sparsity(res.mask)
+def _experiment_run(tmp_path, seed, variant):
+    """One leg of the desk experiment, variant in {dense, gmp, regen}:
+    (final test accuracy, final sparsity, prunable weights or None)."""
+    out = tmp_path / f"{variant}{seed}"
+    argv = {"dense": ["train"], "gmp": ["prune-unstructured", "--gmp-only"],
+            "regen": ["prune-unstructured"]}[variant]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--seed", str(seed), "--out", str(out)]) == 0
+    log = "train_log.csv" if variant == "dense" else "epoch_log.csv"
+    last = (out / log).read_text().splitlines()[-1].split(",")
+    total = None if variant == "dense" else checkpoint.load(out / "mask_history.ckpt")[1]["total"]
+    return float(last[5]), float(last[6]), total
 
 
-def test_criterion_10_end_to_end_desk_experiment():
+def test_criterion_10_end_to_end_desk_experiment(tmp_path):
     t0 = time.monotonic()
     seeds = (1, 2, 3, 4, 5)
     dense, gmp, regen = [], [], []
-    total = SpikingNetwork(vgg_mini(input_shape=(1, 8, 8), channels=(12, 24), classes=3),
-                           np.random.default_rng(0)).n_prunable
     for seed in seeds:
-        d_acc, _ = _experiment_run(seed, "dense")
-        g_acc, g_sp = _experiment_run(seed, "gmp")
-        r_acc, r_sp = _experiment_run(seed, "regen")
+        d_acc, _, _ = _experiment_run(tmp_path, seed, "dense")
+        g_acc, g_sp, g_total = _experiment_run(tmp_path, seed, "gmp")
+        r_acc, r_sp, r_total = _experiment_run(tmp_path, seed, "regen")
         assert d_acc >= 0.90, f"seed {seed}: dense test acc {d_acc:.3f} < 0.90"
-        assert abs(g_sp - 0.90) < 1.0 / total, f"seed {seed}: GMP sparsity {g_sp}"
-        assert abs(r_sp - 0.90) < 1.0 / total, f"seed {seed}: regen sparsity {r_sp}"
+        assert abs(g_sp - 0.90) < 1.0 / g_total, f"seed {seed}: GMP sparsity {g_sp}"
+        assert abs(r_sp - 0.90) < 1.0 / r_total, f"seed {seed}: regen sparsity {r_sp}"
         assert d_acc - g_acc <= 0.10, f"seed {seed}: GMP {g_acc:.3f} >10pts below dense"
         assert d_acc - r_acc <= 0.10, f"seed {seed}: regen {r_acc:.3f} >10pts below dense"
         dense.append(d_acc)

@@ -2,14 +2,16 @@
 MAC accounting against closed-form arithmetic.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from spikeprune import checkpoint
+from spikeprune.cli import main
 from spikeprune.criticality import sample_scores, score_batch
-from spikeprune.data import DatasetSpec, make_synthetic
 from spikeprune.errors import ArgumentError
 from spikeprune.network import LayerSpec, NetworkSpec, SpikingNetwork, vgg_mini
-from spikeprune.optim import TrainConfig
 from spikeprune.structured import (
     ChannelPlan,
     apply_plan_to_spec,
@@ -19,9 +21,7 @@ from spikeprune.structured import (
     mask_channels,
     prune_and_regenerate_channels,
     slim,
-    structured_pipeline,
 )
-from spikeprune.train import Trainer
 from spikeprune.unstructured import round_half_up
 
 
@@ -299,29 +299,42 @@ class TestFlops:
         assert count_flops(spec, plan).reduction == count_flops(spec, plan).reduction
 
 
+def run_structured(tmp_path, text):
+    """prune-structured from config text; returns (plan, force_kept, flops,
+    survival report, train log rows, fine-tune log rows) read from its files."""
+    cfg, out = tmp_path / "s.cfg", tmp_path / "run"
+    cfg.write_text(text)
+    assert main(["prune-structured", "--config", str(cfg), "--out", str(out)]) == 0
+    _, meta = checkpoint.load(out / "checkpoint_slim.ckpt")
+    logs = [(out / name).read_text().splitlines()[1:]
+            for name in ("train_log.csv", "finetune_log.csv")]
+    return (ChannelPlan.from_dict(meta["plan"]), meta["force_kept"],
+            json.loads((out / "flops.json").read_text()),
+            json.loads((out / "survival.json").read_text()), *logs)
+
+
+PIPELINE = """
+classes = 3
+separation = 4.0
+lr = 0.05
+N_1 = 2
+s = 1e-4
+"""
+
+
 class TestPipeline:
-    def test_end_to_end_smoke(self):
-        rng = np.random.default_rng(77)
-        data = make_synthetic(DatasetSpec(classes=3, train_samples=24, test_samples=12,
-                                          shape=(1, 8, 8), separation=4.0), rng)
-        net = SpikingNetwork(vgg_mini(channels=(3, 4), classes=3), rng)
-
-        def make_trainer(n, epochs):
-            cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=5e-4,
-                              batch_size=8, epochs=epochs, lr_schedule="step",
-                              lr_drop_epochs=(2,))
-            return Trainer(n, data, cfg, rng)
-
-        result = structured_pipeline(net, make_trainer, train_epochs=3,
-                                     finetune_epochs=2, percent=0.5, r=0.5,
-                                     lambda_l1=1e-4, batch_size=8)
-        expected = round_half_up(0.5 * result.plan.total_channels)
-        assert result.plan.survivors() == expected + len(result.info.force_kept)
-        assert 0.0 < result.flops.reduction < 1.0
-        assert len(result.train_rows) == 3
-        assert len(result.finetune_rows) == 2
-        rec = result.ledger.records[0]
-        assert rec.regenerated == result.info.k
+    def test_end_to_end_smoke(self, tmp_path):
+        plan, force_kept, flops, survival, train_rows, finetune_rows = run_structured(
+            tmp_path, PIPELINE + "seed = 77\ntrain_samples = 24\ntest_samples = 12\n"
+            "image = 1x8x8\nchannels = 3, 4\nbatch_size = 8\nN_t = 3\nN_f = 2\n"
+            "percent = 0.5\nr = 0.5\n")
+        expected = round_half_up(0.5 * plan.total_channels)
+        assert plan.survivors() == expected + len(force_kept)
+        assert 0.0 < flops["reduction"] < 1.0
+        assert len(train_rows) == 3
+        assert len(finetune_rows) == 2
+        rec = survival["iterations"][0]
+        assert rec["regenerated"] == expected - (plan.total_channels - rec["pruned"])
 
     def test_criticality_scores_cover_all_bn_layers(self, tiny):
         net, trainer, data = tiny
@@ -357,26 +370,14 @@ class TestPipeline:
         for bn, got in scores.items():
             np.testing.assert_array_equal(got, full[net.scoring_lif(bn)])
 
-    def test_four_block_pipeline_near_half_flops(self):
+    def test_four_block_pipeline_near_half_flops(self, tmp_path):
         """A 4-block stack with percent tuned toward ~50% MAC reduction runs
         end to end and reports consistent accounting."""
-        rng = np.random.default_rng(88)
-        data = make_synthetic(DatasetSpec(classes=3, train_samples=48, test_samples=24,
-                                          shape=(1, 16, 16), separation=4.0), rng)
-        net = SpikingNetwork(vgg_mini(input_shape=(1, 16, 16),
-                                      channels=(4, 4, 6, 6), classes=3), rng)
-
-        def make_trainer(n, epochs):
-            cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=5e-4,
-                              batch_size=16, epochs=epochs, lr_schedule="step",
-                              lr_drop_epochs=(2,))
-            return Trainer(n, data, cfg, rng)
-
-        result = structured_pipeline(net, make_trainer, train_epochs=2,
-                                     finetune_epochs=1, percent=0.3, r=0.1,
-                                     lambda_l1=1e-4, batch_size=16)
-        assert 0.3 <= result.flops.reduction <= 0.7
-        dense_again = count_flops(net.spec)
-        assert result.flops.dense_total == dense_again.dense_total
-        recount = count_flops(net.spec, result.plan)
-        assert recount.slim_total == result.flops.slim_total
+        plan, _, flops, _, _, _ = run_structured(
+            tmp_path, PIPELINE + "seed = 88\ntrain_samples = 48\ntest_samples = 24\n"
+            "image = 1x16x16\nchannels = 4, 4, 6, 6\nbatch_size = 16\nN_t = 2\nN_f = 1\n"
+            "percent = 0.3\nr = 0.1\n")
+        assert 0.3 <= flops["reduction"] <= 0.7
+        spec = vgg_mini(input_shape=(1, 16, 16), channels=(4, 4, 6, 6), classes=3)
+        assert flops["dense_total"] == count_flops(spec).dense_total
+        assert flops["slim_total"] == count_flops(spec, plan).slim_total
