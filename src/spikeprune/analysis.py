@@ -18,32 +18,18 @@ from .errors import ArgumentError, NumericError
 # Regeneration survival
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IterationRecord:
-    iteration: int
-    pruned_this_iter: int
-    regenerated: int
-    rescued: int
-
-    @property
-    def rescue_fraction(self) -> float:
-        """Share of this iteration's magnitude-pruned structures that were rescued."""
-        if self.pruned_this_iter == 0:
-            return 0.0
-        return self.rescued / self.pruned_this_iter
-
-
 class SurvivalLedger:
     """Tracks which structures owe their survival to regeneration.
 
     The provenance flag of a structure is set when it is regenerated and
     cleared when it is pruned again; at the end of a run the flags of the
     surviving structures give the survived-via-regeneration percentage.
+    records holds one dict per iteration, as survival_report writes it.
     """
 
     def __init__(self, total: int):
         self.total = total
-        self.records: list[IterationRecord] = []
+        self.records: list[dict] = []
         self.provenance = np.zeros(total, dtype=bool)
 
     def on_iteration(self, iteration: int, newly_pruned: np.ndarray,
@@ -53,39 +39,27 @@ class SurvivalLedger:
         was_pruned = np.zeros(self.total, dtype=bool)
         was_pruned[newly_pruned] = True
         rescued = int(np.count_nonzero(was_pruned[regenerated]))
-        self.records.append(IterationRecord(
-            iteration=iteration,
-            pruned_this_iter=int(len(newly_pruned)),
-            regenerated=int(len(regenerated)),
-            rescued=rescued,
-        ))
-
-    def final_provenance_fraction(self, surviving: np.ndarray) -> float:
-        """Fraction of surviving structures whose provenance flag is set.
-
-        surviving is a boolean array over the same flat index space.
-        """
-        n_surv = int(surviving.sum())
-        if n_surv == 0:
-            return 0.0
-        return float((self.provenance & surviving).sum() / n_surv)
+        pruned = int(len(newly_pruned))
+        self.records.append({
+            "iteration": iteration,
+            "pruned": pruned,
+            "regenerated": int(len(regenerated)),
+            "rescued": rescued,
+            # the share of this iteration's magnitude-pruned structures rescued
+            "rescue_fraction": rescued / pruned if pruned else 0.0,
+        })
 
 
 def survival_report(ledger: SurvivalLedger, surviving: np.ndarray) -> dict:
-    """JSON-ready summary: per-iteration rescue fractions plus final provenance."""
+    """JSON-ready summary: the ledger's per-iteration records plus the share of
+    surviving structures (a boolean array over the ledger's flat index space)
+    whose provenance flag is set."""
+    n_surv = int(surviving.sum())
     return {
-        "iterations": [
-            {
-                "iteration": r.iteration,
-                "pruned": r.pruned_this_iter,
-                "regenerated": r.regenerated,
-                "rescued": r.rescued,
-                "rescue_fraction": r.rescue_fraction,
-            }
-            for r in ledger.records
-        ],
-        "final_survivors": int(surviving.sum()),
-        "survived_via_regeneration": ledger.final_provenance_fraction(surviving),
+        "iterations": ledger.records,
+        "final_survivors": n_surv,
+        "survived_via_regeneration":
+            float((ledger.provenance & surviving).sum() / n_surv) if n_surv else 0.0,
     }
 
 

@@ -297,10 +297,13 @@ def _gammas_over_original_axis(path):
     if "plan" not in meta:
         raise ConfigError(f"{path}: checkpoint has no channel plan (not a slimmed model)")
     plan = meta_entry(path, meta, "plan", structured.ChannelPlan.from_dict)
-    gammas = {}
+    gammas, bns = {}, structured.bn_gammas(net)
     for layer, keep in plan.keep.items():
+        if len(bns.get(layer, ())) != len(keep):
+            raise ValueError(f"{path}: the plan's layer {layer} is not a batch norm of "
+                             f"{len(keep)} channels in the checkpoint's network")
         full = np.zeros(plan.widths[layer])
-        full[list(keep)] = net.layers[layer].gamma
+        full[list(keep)] = bns[layer]
         gammas[layer] = full
     return plan.keep, gammas
 

@@ -219,8 +219,8 @@ class BatchNorm2d(Layer):
     """Per-channel normalization over batch, time, and spatial axes jointly.
 
     Training mode uses batch statistics and updates running ones; inference
-    mode uses the running statistics. Running variance stores the biased
-    batch variance (same quantity used for normalization).
+    mode uses the running statistics and caches nothing. Running variance
+    stores the biased batch variance (same quantity used for normalization).
     """
 
     kind = "batchnorm"
@@ -245,12 +245,8 @@ class BatchNorm2d(Layer):
         if xs.shape[-1] != self.channels:
             raise DimensionError(f"batchnorm expects {self.channels} channels, got {xs.shape[-1]}")
         x = xs.reshape(-1, self.channels)
-        if not training:
-            # One affine map per channel. The cache holds x; backward, which
-            # only checks run in inference mode, normalizes it there.
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            scale = self.gamma * inv_std
-            self._cache = (x, inv_std, training)
+        if not training:        # one affine map per channel
+            scale = self.gamma * (1.0 / np.sqrt(self.running_var + self.eps))
             y = x * scale
             y += self.beta - self.running_mean * scale
             return y.reshape(xs.shape)
@@ -276,15 +272,13 @@ class BatchNorm2d(Layer):
             y[lo:hi] += self.beta
 
         cores.halves(normalize, m, x.size)
-        self._cache = (xhat, inv_std, training)
+        self._cache = (xhat, inv_std)
         return y.reshape(xs.shape)
 
     def backward(self, gys):
         if self._cache is None:
             raise StateError("batchnorm backward before forward")
-        xhat, inv_std, training = self._cache
-        if not training:
-            xhat = (xhat - self.running_mean) * inv_std
+        xhat, inv_std = self._cache
         gy = gys.reshape(xhat.shape)
         m = len(gy)
         gx = np.empty_like(xhat)        # holds gy * xhat first
@@ -296,8 +290,6 @@ class BatchNorm2d(Layer):
                      gx.size, also=dbeta)
         self.dgamma[...] = _channel_sum(gx)
         scale = self.gamma * inv_std
-        if not training:
-            return (gy * scale).reshape(gys.shape)
 
         # Through the batch mean and variance as well: their gradients are
         # the per-channel sums just taken.
@@ -378,8 +370,7 @@ class LIF(Layer):
     def forward(self, xs, training):
         """Run the recurrence over xs [T, n, ...]; returns the spikes.
 
-        Each call records a new state for its own n samples: a network's
-        inference forward keeps only its current tile's h and s.
+        Each call records a new state for its own n samples.
         """
         p = self.lif_params
         st = LIFState(np.empty(xs.shape), np.empty(xs.shape), p.v_threshold)

@@ -239,8 +239,7 @@ class SpikingNetwork:
         self._first_lif = next((i for i, l in enumerate(self.layers) if l.kind == "lif"),
                                len(self.layers))
         self.tile = inference_tile(spec)
-        self._t_out = None          # time extent of the last forward's output
-        self._tiles = 0             # tiles the last forward ran
+        self._t_out = None          # time extent of the last training forward's output
         self.features = None
         if self.layers[0].kind == "conv":
             self.layers[0].input_grad = False   # nothing reads the input image's gradient
@@ -323,14 +322,13 @@ class SpikingNetwork:
         return [i for i, l in enumerate(self.layers) if isinstance(l, LIF)]
 
     def lif_states(self) -> dict:
-        """Current LIFState per LIF layer index; StateError if any is missing
-        or the last forward ran more than one inference tile."""
-        self._one_tile("lif_states()")
+        """The last training forward's LIFState per LIF layer index, whatever
+        inference ran since; StateError if no training forward has run."""
         out = {}
         for i in self.lif_indices():
             st = self.layers[i].state
             if st is None:
-                raise StateError("no recorded LIF state; run forward first")
+                raise StateError("no recorded LIF state; run a training forward first")
             out[i] = st
         return out
 
@@ -379,10 +377,10 @@ class SpikingNetwork:
         Inference runs the whole layer stack on `tile` samples before starting
         the next tile; a training forward is one tile, since batch-norm
         statistics couple the batch. The logits and `features` cover the full
-        batch; every layer cache, LIF states included, holds the last tile
-        only, so lif_states() and backward refuse a forward of more than one
-        tile. on_tile(rows, states), if given, is called after each tile with
-        the tile's row slice and its LIF states by layer index.
+        batch. Only a training forward writes the caches of `layers`, so
+        lif_states() and backward read the last training forward whatever
+        inference ran since. on_tile(rows, states), if given, is called after
+        each tile with the tile's row slice and its LIF states by layer index.
 
         A training forward, like backward, runs in a cores.training()
         region: each per-row kernel of its layers runs as two fixed halves,
@@ -392,30 +390,28 @@ class SpikingNetwork:
 
         Inference shares its tiles with the helper threads (cores.share):
         each thread takes the next tile not yet taken, so a thread slowed by a
-        busy core takes fewer. Those tiles run on shallow layer copies, which
-        share the parameter arrays; the caller runs the last tile on `layers`,
-        so their caches hold it. Inference never splits halves. It waits for
-        every tile before it returns or raises the error of the earliest tile
-        that failed. A tile writes only its own rows, so no result depends on
-        the number of threads or on who ran which tile.
+        busy core takes fewer. Every tile runs on shallow copies of the
+        layers, which share the parameter arrays; a thread takes a set of
+        copies no other thread holds and hands it back after its tile.
+        Inference never splits halves. It waits for every tile before it
+        returns or raises the error of the earliest tile that failed. A tile
+        writes only its own rows, so no result depends on the number of
+        threads or on who ran which tile.
         """
         t = self.spec.t_steps
         x = self._checked_input(x)
         n = len(x)
         if n == 0:
             raise DimensionError("forward needs at least one sample")
-        step = n if training else self.tile
         head = self.layers[self._head_index]
         self.features = np.empty((n, head.in_features))
         logits = np.empty((n, head.out_features))
-        starts = range(0, n, step)
-        self._tiles = len(starts)
         lifs = self.lif_indices()
-        spare = []          # shallow layer copies for shared tiles, one per thread
+        spare = [self.layers] if training else []       # layer sets free for the next tile
 
         def tile(lo, hi):
             try:        # one list call each, so pop and append need no lock
-                layers = self.layers if hi == n else spare.pop()
+                layers = spare.pop()
             except IndexError:
                 layers = [copy.copy(l) for l in self.layers]
             rows = slice(lo, hi)
@@ -429,29 +425,22 @@ class SpikingNetwork:
             np.mean(acts, axis=0, out=logits[rows])
             if on_tile is not None:
                 on_tile(rows, {i: layers[i].state for i in lifs})
-            if layers is not self.layers:
-                spare.append(layers)
+            spare.append(layers)
 
         if training:
             with cores.training():
                 tile(0, n)
+            self._t_out = t if self._first_lif < len(self.layers) else 1
         else:
-            cores.share(tile, [(lo, lo + step) for lo in starts[:-1]],
-                        lambda: tile(starts[-1], n))
-        self._t_out = t if self._first_lif < len(self.layers) else 1
+            cores.share(tile, [(lo, min(lo + self.tile, n)) for lo in range(0, n, self.tile)])
         return logits
 
-    def _one_tile(self, what: str):
-        if self._tiles > 1:
-            raise StateError(f"{what} after an inference forward of {self._tiles} tiles: "
-                             f"the layer caches hold only the last tile")
-
     def backward(self, dlogits: np.ndarray):
-        """Propagate loss gradient through time and layers; fills layer grads."""
+        """Propagate loss gradient through time and layers, from the last
+        training forward's caches; fills layer grads."""
         t = self._t_out
         if t is None:
-            raise StateError("backward before forward")
-        self._one_tile("backward")
+            raise StateError("backward before a training forward")
         g = np.broadcast_to(dlogits / t, (t,) + dlogits.shape)
         with cores.training():
             for i in range(len(self.layers) - 1, -1, -1):

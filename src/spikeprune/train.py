@@ -160,8 +160,9 @@ def meta_entry(path, meta: dict, key: str, parse):
 
 def load_run_state(path):
     """Returns (net, arrays, meta); mask entries (and the velocity entries of
-    older files) stay in arrays. A non-finite parameter or running statistic,
-    or a negative running variance, is a ValueError naming the file and array."""
+    older files) stay in arrays. A missing or non-finite parameter or running
+    statistic, or a negative running variance, is a ValueError naming the
+    file and array."""
     arrays, meta = checkpoint.load(path)
     spec = meta_entry(path, meta, "network", NetworkSpec.from_dict)
     net = SpikingNetwork(spec, np.random.default_rng(0))
@@ -179,5 +180,9 @@ def load_run_state(path):
             net.set_state_array(name, value)
         else:
             net.set_parameter(name, value)
+    missing = sorted({*params, *stats} - arrays.keys())
+    if missing:
+        raise ValueError(f"{path}: the checkpoint has no array {missing[0]!r} of the "
+                         f"network its meta describes")
     return net, arrays, meta
 

@@ -197,7 +197,7 @@ def prune_loop(net, trainer, sched: SparsitySchedule, epochs: int,
         ledger.on_iteration(sched.n, newly, chosen)
         history.append((post_prune, mask.copy()))
         events.append(PruneEvent(sched.n, step, s_t, s_prime, int(k),
-                                 ledger.records[-1].rescue_fraction, acc, sparsity(mask)))
+                                 ledger.records[-1]["rescue_fraction"], acc, sparsity(mask)))
 
     epoch_rows = trainer.run_epochs(epochs, mask=mask, after_step=prune_event)
     return PruneRunResult(mask=mask, ledger=ledger, events=events,

@@ -196,12 +196,10 @@ def check_prefix_once():
     """SpikingNetwork runs the layers before the first LIF once and broadcasts
     over T; it must match T explicit copies in logits, features, the h, s and
     g' traces, every gradient and the BN running statistics, in training and
-    eval mode at batch 32. An eval batch of two full inference tiles plus a
-    ragged tail checks the tiled forward's logits and features the same way,
-    without backward, which refuses a forward of more than one tile; its
-    traces are checked tile by tile, each tile run alone as a one-tile
-    forward against the reference rows. Checked on the desk network width
-    and a deeper fully connected stack."""
+    eval mode at batch 32 (eval mode without backward). An eval batch of two
+    full inference tiles plus a ragged tail checks the tiled forward the same
+    way, each tile's traces read through on_tile against the reference rows.
+    Checked on the desk network width and a deeper fully connected stack."""
     specs = (vgg_mini(channels=(12, 24), t_steps=5), linear_snn([16, 12, 8, 3], t_steps=5))
     worst = 0.0
     for k, spec in enumerate(specs):
@@ -215,20 +213,18 @@ def check_prefix_once():
             ref = net.clone()
             x = 2.0 * rng.normal(size=(batch,) + tuple(spec.input_shape))
             dlogits = rng.normal(size=(batch, spec.layers[-1].out_features))
-            one_tile = training or batch <= tile
-            logits = net.forward(x, training)
-            ref_logits, ref_features = _t_copies_step(ref, x, dlogits if one_tile else None,
+            tiles = []
+            logits = net.forward(x, training, on_tile=lambda rows, states: tiles.append(
+                (rows, states)))
+            ref_logits, ref_features = _t_copies_step(ref, x, dlogits if training else None,
                                                       training)
             pairs = [(logits, ref_logits), (net.features, ref_features)]
-            if one_tile:
+            if training:
                 net.backward(dlogits)
                 pairs.append((net.grad, ref.grad))
-            for lo in [0] if one_tile else range(0, batch, tile):
-                if not one_tile:
-                    net.forward(x[lo:lo + tile], training)      # this tile alone
-                for i, st in net.lif_states().items():
+            for rows, states in tiles:
+                for i, st in states.items():
                     r = ref.layers[i].state
-                    rows = slice(lo, lo + len(st.h[0]))
                     pairs += [(st.h, r.h[:, rows]), (st.s, r.s[:, rows]),
                               (st.gprime, r.gprime[:, rows])]
             ref_stats = ref.state_arrays()

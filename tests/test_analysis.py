@@ -131,7 +131,7 @@ class TestSurvival:
         ledger = SurvivalLedger(10)
         pruned = np.array([1, 3, 5])
         ledger.on_iteration(1, pruned, pruned)
-        assert ledger.records[0].rescue_fraction == 1.0
+        assert ledger.records[0]["rescue_fraction"] == 1.0
 
     def test_replay_matches_live_ledger(self):
         """Recomputing from persisted masks reproduces the live report exactly."""

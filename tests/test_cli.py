@@ -20,7 +20,7 @@ from conftest import save_v1
 import spikeprune
 from spikeprune import checkpoint, cli
 from spikeprune.cli import main
-from spikeprune.network import vgg_mini
+from spikeprune.network import SpikingNetwork, vgg_mini
 
 TINY = """
 seed = 5
@@ -316,8 +316,10 @@ class TestErrors:
         ({"network": NET, "config": [1, 2]}, "config"),
     ])
     def test_malformed_run_state_meta(self, tmp_path, capsys, meta, key):
+        """Each file holds every array of NET, so only its meta is at fault."""
+        net = SpikingNetwork(vgg_mini(), np.random.default_rng(0))
         bad = tmp_path / "bad.ckpt"
-        checkpoint.save(bad, {}, meta)
+        checkpoint.save(bad, {**net.parameters(), **net.state_arrays()}, meta)
         err = self._one_error_line(["analyze", "--checkpoint", str(bad), "--metric", "variance",
                                     "--out", str(tmp_path / "o")], capsys)
         assert "bad.ckpt" in err and key in err
@@ -388,6 +390,41 @@ class TestErrors:
         err = self._one_error_line(["analyze", "--checkpoint", str(tmp_path / "bad.ckpt"),
                                     "--metric", "variance", "--out", str(tmp_path / "o")], capsys)
         assert "bad.ckpt" in err and repr(name) in err
+
+    @pytest.mark.parametrize("name", ["layers.0.weight", "layers.1.running_var"])
+    @pytest.mark.parametrize("command", ["analyze", "resume"])
+    def test_checkpoint_missing_an_array(self, tiny_cfg, capsys, command, name):
+        """A run state without one of its network's parameters or running
+        statistics is refused, not filled with the initial values."""
+        cfg, root = tiny_cfg
+        assert main(["train", "--config", cfg, "--out", str(root / "t")]) == 0
+        capsys.readouterr()
+        arrays, meta = checkpoint.load(root / "t" / "checkpoint.ckpt")
+        del arrays[name]
+        bad = root / "bad.ckpt"
+        checkpoint.save(bad, arrays, meta)
+        argv = (["analyze", "--checkpoint", str(bad), "--metric", "variance"]
+                if command == "analyze" else
+                ["prune-unstructured", "--config", cfg, "--resume", str(bad)])
+        err = self._one_error_line(argv + ["--out", str(root / "o")], capsys)
+        assert "bad.ckpt" in err and repr(name) in err
+
+    @pytest.mark.parametrize("layer", [0, 99])
+    def test_transition_plan_outside_the_network(self, tiny_cfg, capsys, layer):
+        """A slim checkpoint whose plan names a conv layer, or a layer the
+        network does not have, is refused naming the file and the layer."""
+        cfg, root = tiny_cfg
+        assert main(["prune-structured", "--config", cfg, "--out", str(root / "s")]) == 0
+        capsys.readouterr()
+        slim = root / "s" / "checkpoint_slim.ckpt"
+        arrays, meta = checkpoint.load(slim)
+        meta["plan"] = {"keep": {str(layer): [0]}, "widths": {str(layer): 2}}
+        bad = root / "bad.ckpt"
+        checkpoint.save(bad, arrays, meta)
+        err = self._one_error_line(["analyze", "--checkpoint", str(bad), "--checkpoint-b",
+                                    str(slim), "--metric", "transition",
+                                    "--out", str(root / "o")], capsys)
+        assert "bad.ckpt" in err and f"layer {layer} " in err
 
     def _idx_run(self, tmp_path, images: bytes, labels: bytes):
         def idx(arr):

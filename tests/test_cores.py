@@ -289,7 +289,7 @@ def test_without_blas_control_no_second_thread(monkeypatch, helper_pieces):
     helper_pieces.clear()
     net = SpikingNetwork(vgg_mini(channels=(4, 8)), np.random.default_rng(0))
     net.forward(np.zeros((4 * net.tile, 1, 8, 8)))
-    assert helper_pieces == [threading.current_thread().name] * 3
+    assert helper_pieces == [threading.current_thread().name] * 4
 
 
 def test_pieces_run_once_under_fast_switching():

@@ -178,7 +178,7 @@ class TestInferenceTiles:
     def test_tiled_forward_equals_full_batch_run(self, channels):
         """Logits and features are bit-identical to the layer stack run once
         over the whole batch; so are every LIF layer's h, s and g' of each
-        tile, run alone as a one-tile forward, against its rows."""
+        tile, read through on_tile, against its rows."""
         net, rng = _eval_net(channels, seed=11)
         t, n = net.spec.t_steps, 2 * net.tile + 3
         x = 2.0 * rng.normal(size=(n, 1, 8, 8))
@@ -191,32 +191,29 @@ class TestInferenceTiles:
             acts = layer.forward(acts, False)
             if layer.kind == "lif":
                 traces[i] = layer.state
-        logits = net.forward(x, training=False)
+        tiles = {}
+        logits = net.forward(x, training=False, on_tile=lambda rows, states: tiles.__setitem__(
+            rows.start, (rows, states)))
         np.testing.assert_array_equal(logits, acts.mean(axis=0))
         np.testing.assert_array_equal(net.features, features)
-        for lo in range(0, n, net.tile):
-            net.forward(x[lo:lo + net.tile], training=False)
-            rows = slice(lo, lo + net.tile)
-            for i, st in net.lif_states().items():
+        assert sorted(tiles) == list(range(0, n, net.tile))
+        for rows, states in tiles.values():
+            assert sorted(states) == sorted(traces)
+            for i, st in states.items():
                 np.testing.assert_array_equal(st.h, traces[i].h[:, rows])
                 np.testing.assert_array_equal(st.s, traces[i].s[:, rows])
                 np.testing.assert_array_equal(st.gprime, traces[i].gprime[:, rows])
 
-    def test_lif_states_need_a_one_tile_forward(self):
+    def test_lif_states_and_backward_need_a_training_forward(self):
+        """Eval forwards, of one tile or more, leave no LIF state to read and
+        no backward to run."""
         net, rng = _eval_net((4, 8), seed=14)
-        net.forward(rng.normal(size=(net.tile + 1, 1, 8, 8)), training=False)
-        with pytest.raises(StateError, match="2 tiles"):
-            net.lif_states()
-        net.forward(rng.normal(size=(net.tile, 1, 8, 8)), training=False)
-        assert all(st.h.shape[1] == net.tile for st in net.lif_states().values())
-
-    def test_lif_traces_hold_one_tile(self):
-        """After a multi-tile eval forward no LIF layer holds more than a tile."""
-        net, rng = _eval_net((12, 24), seed=15)
-        net.forward(rng.normal(size=(3 * net.tile + 1, 1, 8, 8)), training=False)
-        for i in net.lif_indices():
-            st = net.layers[i].state
-            assert st.h.shape[1] <= net.tile and st.s.shape[1] <= net.tile
+        for n in (net.tile, net.tile + 1):
+            net.forward(rng.normal(size=(n, 1, 8, 8)), training=False)
+            with pytest.raises(StateError, match="training forward"):
+                net.lif_states()
+            with pytest.raises(StateError, match="backward before a training forward"):
+                net.backward(np.zeros((n, 3)))
 
     @pytest.mark.parametrize("training", [True, False])
     def test_empty_batch_raises(self, training):
@@ -239,17 +236,6 @@ class TestInferenceTiles:
         t = net.spec.t_steps
         assert len(rows) == 2 * 4
         assert all(m <= net.tile * t * positions for m, positions in rows)
-
-    def test_backward_needs_a_one_tile_forward(self):
-        net, rng = _eval_net((4, 8), seed=13)
-        for n in (net.tile, net.tile + 1):
-            net.forward(rng.normal(size=(n, 1, 8, 8)), training=False)
-            if n > net.tile:
-                with pytest.raises(StateError, match="2 tiles"):
-                    net.backward(np.zeros((n, 3)))
-            else:
-                net.backward(np.ones((n, 3)))
-                assert net.grad.any()
 
 
 class TestInferenceThreads:
@@ -352,21 +338,35 @@ class TestInferenceThreads:
             sys.setswitchinterval(interval)
         assert started == first and set(started) <= helper_names(8)
 
-    def test_caller_runs_the_last_tile(self):
-        """The caller runs the last tile, so the network's own caches hold it,
-        as after a serial forward, and the caller's affinity mask is as before."""
-        net, rng = _eval_net((4, 8), seed=32)
-        x = rng.normal(size=(3 * net.tile + 1, 1, 8, 8))
-        mask = os.sched_getaffinity(0)
-        ran = {}
-        net.forward(x, training=False, on_tile=lambda rows, states: ran.__setitem__(
-            rows.start, threading.current_thread().name))
-        assert os.sched_getaffinity(0) == mask
-        assert ran[3 * net.tile] == threading.current_thread().name
-        last = [net.layers[i].state.h for i in net.lif_indices()]
-        net.forward(x[-1:], training=False)
-        for i, h in zip(net.lif_indices(), last):
-            np.testing.assert_array_equal(h, net.layers[i].state.h)
+    @pytest.mark.skipif(cores.BLAS is None, reason="OpenBLAS's thread count is out of reach")
+    def test_eval_forward_leaves_the_training_caches(self, fake_mask, meeting):
+        """A multi-tile eval forward, its tiles shared with a helper on a faked
+        2-core mask, between a training forward and its backward: every
+        attribute of every layer, each LIF's state and each conv's and
+        linear's input included, is the object the training forward left;
+        lif_states() returns those states; and the gradients and BN running
+        statistics are those of the same step without the eval forward, bit
+        for bit."""
+        fake_mask(2)
+        results = []
+        for with_eval in (False, True):
+            net, rng = _eval_net((4, 8), seed=40)
+            x, y = 2.0 * rng.normal(size=(16, 1, 8, 8)), rng.integers(0, 3, size=16)
+            _, dlogits, _ = loss_ce_l1(net.forward(x, training=True), y)
+            left = [dict(vars(layer)) for layer in net.layers]
+            states = net.lif_states()
+            if with_eval:
+                net.forward(rng.normal(size=(4 * net.tile + 1, 1, 8, 8)), training=False,
+                            on_tile=meeting.meet)
+                assert meeting.helper_ran.is_set()
+                for layer, attrs in zip(net.layers, left):
+                    assert vars(layer).keys() == attrs.keys()
+                    assert all(vars(layer)[k] is v for k, v in attrs.items()), layer.kind
+                assert all(net.lif_states()[i] is st for i, st in states.items())
+            net.backward(dlogits)
+            results.append([net.grad.copy()] + [a.copy() for a in net.state_arrays().values()])
+        for a, b in zip(*results):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.skipif(cores.BLAS is None, reason="OpenBLAS's thread count is out of reach")
     def test_thread_count_rule(self, fake_mask):
@@ -450,12 +450,12 @@ class TestInferenceThreads:
         assert set(started) <= helper_names(len(mask)) and os.sched_getaffinity(0) == mask
 
     def test_non_finite_input_in_a_worker_tile(self, monkeypatch, fake_mask, started):
-        """Every tile but the caller's last holds a NaN, and the caller waits
-        until a helper has begun a tile, so a helper meets one too: the error
-        is the serial path's."""
+        """Every tile but the first holds a NaN, and the thread that runs the
+        first waits in it until a helper has begun a tile, so a helper meets
+        one too: the error is the serial path's."""
         net, rng = _eval_net((4, 8), seed=34)
         x = rng.normal(size=(4 * net.tile, 1, 8, 8))
-        x[:-net.tile:net.tile, 0, 2, 2] = np.nan
+        x[net.tile::net.tile, 0, 2, 2] = np.nan
         me, helper_began = threading.current_thread().name, threading.Event()
         layer_input = net.layer_input
 
@@ -528,11 +528,12 @@ class TestGprimeOnRead:
         return calls
 
     def test_eval_loops_derive_no_gprime(self, gprime_calls):
+        """Evaluation and feature extraction derive no g' and leave every LIF
+        layer of the network without a state."""
         net, trainer, data = tiny_run(seed=3)
         trainer.evaluate()
-        assert not any("gprime" in vars(st) for st in net.lif_states().values())
         extract_features(net, data.x_train)
-        assert not any("gprime" in vars(st) for st in net.lif_states().values())
+        assert all(net.layers[i].state is None for i in net.lif_indices())
         assert gprime_calls == []
 
     def test_prune_event_scores_the_train_steps_gprime(self, gprime_calls):
