@@ -118,7 +118,8 @@ class LIFState:
 
 
 class Layer:
-    """Base layer: forward caches whatever backward needs. Each of param_names
+    """Base layer: a training forward caches whatever backward needs; in
+    inference, conv, linear and batch norm cache no array. Each of param_names
     is an array attribute with its gradient in "d" + name; backward writes
     gradients in place, so a network can rebind both to views of its arenas."""
 
@@ -145,7 +146,7 @@ class Linear(Layer):
         self.bias = np.zeros(out_features)
         self.dweight = np.zeros_like(self.weight)
         self.dbias = np.zeros_like(self.bias)
-        self._x = None
+        self._x = None              # the last training forward's input
 
     def forward(self, xs, training):
         t, n = xs.shape[:2]
@@ -154,13 +155,13 @@ class Linear(Layer):
                 f"linear expects [T, N, {self.in_features}] input, got {xs.shape}"
             )
         flat = xs.reshape(t * n, self.in_features)
-        self._x = flat
+        self._x = flat if training else None
         out = ops.matmul(flat, self.weight.T) + self.bias
         return out.reshape(t, n, self.out_features)
 
     def backward(self, gys):
         if self._x is None:
-            raise StateError("linear backward before forward")
+            raise StateError("linear backward before a training forward")
         t, n = gys.shape[:2]
         gflat = gys.reshape(t * n, self.out_features)
         gx, gw_t = ops.matmul_grad(gflat, self._x, self.weight.T)
@@ -187,20 +188,20 @@ class Conv2d(Layer):
         self.weight = rng.normal(0.0, std, size=(out_channels, in_channels, kernel, kernel))
         self.dweight = np.zeros_like(self.weight)
         self.input_grad = True      # False: backward fills dweight and returns None
-        self._x = None
-        self._patches = None        # the forward's patch matrix, kept in training only
+        self._x = None              # a training forward's input and patch matrix;
+        self._patches = None        # inference keeps neither, backward drops the patches
 
     def forward(self, xs, training):
         t, n = xs.shape[:2]
         flat = xs.reshape((t * n,) + xs.shape[2:])
-        self._x = flat
+        self._x = flat if training else None
         out, patches = ops.conv2d(flat, self.weight, self.stride, self.padding)
         self._patches = patches if training else None
         return out.reshape((t, n) + out.shape[1:])
 
     def backward(self, gys):
         if self._x is None:
-            raise StateError("conv backward before forward")
+            raise StateError("conv backward before a training forward")
         t, n = gys.shape[:2]
         gflat = gys.reshape((t * n,) + gys.shape[2:])
         gx, self.dweight[...] = ops.conv2d_grad(gflat, self._x, self.weight, self.stride,

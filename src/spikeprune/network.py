@@ -38,14 +38,20 @@ from .ops import conv_out_hw
 
 WEIGHTED_KINDS = ("conv", "linear")
 # An inference forward runs the whole layer stack on one tile of samples before
-# starting the next, so that a tile's transients stay near cache size: its
-# biggest activation gets about half of a 2 MiB per-core L2. The tiles are
+# starting the next, so that a tile's transients stay small. The tiles are
 # shared with the pinned helper threads of spikeprune.cores: a new or
 # just-woken thread starts on its caller's core and the kernel takes
 # milliseconds to move it, so unpinned, a short forward ran its threads one
-# after the other. A training forward is one tile of the whole batch; its
-# kernels split their rows in halves with the helpers instead.
-TILE_BYTES = 1 << 20
+# after the other. The budget is set by two-thread scaling, not by L2 alone:
+# a tile makes over a hundred short numpy calls, and two threads queue on the
+# interpreter lock for them. On a 2-core Xeon (OpenBLAS at 1 thread) a
+# 3000-sample desk-net forward ran 1.5x faster on two threads than on one at
+# 1 MiB (32 samples a tile) and 1.7x at 2 MiB (64). A tile keeps no conv or
+# linear input and no LIF h past its layer (SpikingNetwork.forward), so a
+# 2 MiB tile peaks at about what a 1 MiB tile that kept them did. A training
+# forward is one tile of the whole batch; its kernels split their rows in
+# halves with the helpers instead.
+TILE_BYTES = 2 << 20
 # Arena position of each parameter name: weights, then biases, then BN affine.
 _ARENA_RANK = {"weight": 0, "bias": 1, "gamma": 2, "beta": 2}
 
@@ -379,8 +385,15 @@ class SpikingNetwork:
         statistics couple the batch. The logits and `features` cover the full
         batch. Only a training forward writes the caches of `layers`, so
         lif_states() and backward read the last training forward whatever
-        inference ran since. on_tile(rows, states), if given, is called after
-        each tile with the tile's row slice and its LIF states by layer index.
+        inference ran since; a training forward clears them first, so one
+        that raises leaves nothing to read. on_tile(rows, states), if given,
+        is called after each tile with the tile's row slice and its LIF states
+        by layer index.
+
+        An inference tile keeps only what a later step reads: conv and linear
+        copies cache no input, and each LIF copy's state is taken off it as
+        soon as that layer returns, kept in the tile's states only for
+        on_tile, so a LIF's h is freed before the next layer runs.
 
         A training forward, like backward, runs in a cores.training()
         region: each per-row kernel of its layers runs as two fixed halves,
@@ -406,7 +419,6 @@ class SpikingNetwork:
         head = self.layers[self._head_index]
         self.features = np.empty((n, head.in_features))
         logits = np.empty((n, head.out_features))
-        lifs = self.lif_indices()
         spare = [self.layers] if training else []       # layer sets free for the next tile
 
         def tile(lo, hi):
@@ -414,7 +426,7 @@ class SpikingNetwork:
                 layers = spare.pop()
             except IndexError:
                 layers = [copy.copy(l) for l in self.layers]
-            rows = slice(lo, hi)
+            rows, states = slice(lo, hi), {}
             acts = self.layer_input(x[rows])[None]
             for i, layer in enumerate(layers):
                 if i == self._first_lif:
@@ -422,12 +434,20 @@ class SpikingNetwork:
                 if i == self._head_index:
                     np.mean(acts, axis=0, out=self.features[rows])
                 acts = layer.forward(acts, training)
+                if layer.kind == "lif":
+                    if on_tile is not None:
+                        states[i] = layer.state
+                    if not training:        # its h is freed before the next layer runs
+                        layer.state = None
             np.mean(acts, axis=0, out=logits[rows])
             if on_tile is not None:
-                on_tile(rows, {i: layers[i].state for i in lifs})
+                on_tile(rows, states)
             spare.append(layers)
 
         if training:
+            self._t_out = None      # a forward that raises leaves nothing to backward
+            for i in self.lif_indices():
+                self.layers[i].state = None
             with cores.training():
                 tile(0, n)
             self._t_out = t if self._first_lif < len(self.layers) else 1

@@ -2,9 +2,12 @@
 oracles, relaxed-mode finite differences, and checkpoint round-trips.
 """
 
+import math
 import os
 import sys
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +16,15 @@ from conftest import helper_names, helper_threads, save_v1, tiny_run
 from spikeprune import checkpoint, cores, layers, ops
 from spikeprune.analysis import extract_features
 from spikeprune.errors import DimensionError, NumericError, StateError
-from spikeprune.layers import LIF, BatchNorm2d, Conv2d, LIFParams, lif_step, surrogate_gprime
+from spikeprune.layers import (
+    LIF,
+    BatchNorm2d,
+    Conv2d,
+    LIFParams,
+    Linear,
+    lif_step,
+    surrogate_gprime,
+)
 from spikeprune.network import (
     LayerSpec,
     NetworkSpec,
@@ -150,6 +161,22 @@ def _eval_net(channels, seed):
     return net, rng
 
 
+@pytest.fixture
+def fake_mask(monkeypatch):
+    """fake(k): the process sees the affinity mask {0, ..., k - 1}, and each
+    affinity change is recorded in fake.pins as (thread name, pid, sorted
+    cpus) instead of made."""
+    pins = []
+
+    def fake(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(
+            (threading.current_thread().name, pid, sorted(cpus))))
+
+    fake.pins = pins
+    return fake
+
+
 class TestNonFiniteFirstLIFInput:
     """The first LIF's input is the once-run prefix broadcast over T (T-stride
     0), whose finiteness is checked once: a NaN or inf there still raises."""
@@ -168,10 +195,10 @@ class TestNonFiniteFirstLIFInput:
 class TestInferenceTiles:
     def test_tile_rule(self):
         """The largest power of two whose biggest [T, tile, ...] activation
-        (conv 0's output) fits 1 MiB."""
-        assert inference_tile(vgg_mini(channels=(12, 24))) == 32     # 30720 B a sample
-        assert inference_tile(vgg_mini(channels=(64, 128))) == 4     # 163840 B a sample
-        assert inference_tile(linear_snn([16, 12, 8, 3])) == 2048
+        (conv 0's output) fits 2 MiB."""
+        assert inference_tile(vgg_mini(channels=(12, 24))) == 64     # 30720 B a sample
+        assert inference_tile(vgg_mini(channels=(64, 128))) == 8     # 163840 B a sample
+        assert inference_tile(linear_snn([16, 12, 8, 3])) == 4096
         assert inference_tile(vgg_mini(input_shape=(1, 64, 64), channels=(64, 128))) == 1
 
     @pytest.mark.parametrize("channels", [(12, 24), (64, 128)])
@@ -221,6 +248,67 @@ class TestInferenceTiles:
         with pytest.raises(DimensionError, match="at least one sample"):
             net.forward(np.zeros((0, 1, 8, 8)), training=training)
 
+    @pytest.mark.parametrize("on_tile", [None, lambda rows, states: None])
+    def test_tiles_leave_no_state_or_input_on_their_copies(self, monkeypatch, fake_mask,
+                                                           on_tile):
+        """After a multi-tile eval forward with a ragged tail, its tiles shared
+        on a faked 2-core mask, no layer copy a tile ran on holds a LIF state
+        or a conv or linear input, with or without on_tile."""
+        net, rng = _eval_net((4, 8), seed=41)
+        ran = []
+
+        def recording(forward):
+            def wrapped(layer, xs, training):
+                ran.append(layer)
+                return forward(layer, xs, training)
+            return wrapped
+
+        for cls in (Conv2d, Linear, LIF):
+            monkeypatch.setattr(cls, "forward", recording(cls.forward))
+        fake_mask(2)
+        net.forward(rng.normal(size=(5 * net.tile + 3, 1, 8, 8)), training=False,
+                    on_tile=on_tile)
+        assert len(ran) == 6 * 5 and not any(layer in net.layers for layer in ran)
+        for layer in ran:
+            assert getattr(layer, "state", None) is None, layer.kind
+            assert getattr(layer, "_x", None) is None, layer.kind
+            assert getattr(layer, "_patches", None) is None, layer.kind
+
+    def test_lif_state_freed_before_the_next_lif_runs(self, monkeypatch, fake_mask):
+        """Without on_tile, each LIF layer's state of a tile, h included, is
+        freed before the next LIF layer runs, in its tile or the next one."""
+        net, rng = _eval_net((12, 24), seed=42)
+        refs = []
+        forward = LIF.forward
+
+        def wrapped(layer, xs, training):
+            assert all(ref() is None for ref in refs), len(refs)
+            out = forward(layer, xs, training)
+            refs.append(weakref.ref(layer.state))
+            return out
+
+        monkeypatch.setattr(LIF, "forward", wrapped)
+        fake_mask(1)
+        net.forward(rng.normal(size=(2 * net.tile + 5, 1, 8, 8)), training=False)
+        assert len(refs) == 2 * 3 and all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("channels", [(12, 24), (64, 128)])
+    def test_traced_peak_of_an_eval_forward(self, fake_mask, channels):
+        """On one core, the traced peak of an eval forward over several tiles
+        stays within 5x a tile's biggest [T, tile, ...] activation."""
+        net, rng = _eval_net(channels, seed=43)
+        x = rng.normal(size=(4 * net.tile + 3, 1, 8, 8))
+        fake_mask(1)
+        net.forward(x, training=False)
+        per_sample = 8 * net.spec.t_steps * max(math.prod(s) for s in trace_shapes(net.spec))
+        tracemalloc.start()
+        try:
+            net.forward(x, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * net.tile * per_sample, peak / (net.tile * per_sample)
+
     def test_no_patch_matrix_over_a_tile(self, monkeypatch):
         net, rng = _eval_net((12, 24), seed=12)
         rows = []
@@ -255,21 +343,6 @@ class TestInferenceThreads:
 
         monkeypatch.setattr(threading.Thread, "start", recording)
         return names
-
-    @pytest.fixture
-    def fake_mask(self, monkeypatch):
-        """fake(k): the process sees the affinity mask {0, ..., k - 1}, and each
-        affinity change is recorded in fake.pins as (thread name, pid, sorted
-        cpus) instead of made."""
-        pins = []
-
-        def fake(k):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-            monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(
-                (threading.current_thread().name, pid, sorted(cpus))))
-
-        fake.pins = pins
-        return fake
 
     @staticmethod
     def threads_of(net, x, expected):
@@ -557,6 +630,23 @@ class TestBackward:
         net = SpikingNetwork(vgg_mini(), np.random.default_rng(0))
         with pytest.raises(StateError):
             net.backward(np.zeros((2, 3)))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_training_forward_that_raises_leaves_nothing_to_read(self):
+        """A training forward that raises part-way, after a clean one, leaves
+        no backward to run and no LIF state to read, and no gradient moves."""
+        net, rng = _eval_net((12, 24), seed=44)
+        x = rng.normal(size=(4, 1, 8, 8))
+        net.forward(x, training=True)
+        grad = net.grad.copy()
+        x[2, 0, 3, 3] = np.nan
+        with pytest.raises(NumericError):
+            net.forward(x, training=True)
+        with pytest.raises(StateError, match="backward before a training forward"):
+            net.backward(np.ones((4, 3)))
+        with pytest.raises(StateError, match="training forward"):
+            net.lif_states()
+        np.testing.assert_array_equal(net.grad, grad)
 
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(5)
