@@ -66,14 +66,12 @@ def survival_report(ledger: SurvivalLedger, surviving: np.ndarray) -> dict:
 def replay_mask_history(initial_mask: np.ndarray, history: list) -> dict:
     """Recompute a survival report from persisted per-iteration masks.
 
-    history is a list of (post_prune, post_regen) boolean mask pairs over the
-    same flat index space. Used to cross-check the live ledger.
+    history yields (post_prune, post_regen) boolean mask pairs over one flat
+    index space, read one pair at a time. Used to cross-check the live ledger.
     """
     ledger = SurvivalLedger(initial_mask.size)
-    prev = initial_mask.astype(bool)
+    prev = initial_mask
     for i, (post_prune, post_regen) in enumerate(history, start=1):
-        post_prune = post_prune.astype(bool)
-        post_regen = post_regen.astype(bool)
         newly_pruned = np.flatnonzero(prev & ~post_prune)
         regenerated = np.flatnonzero(~post_prune & post_regen)
         ledger.on_iteration(i, newly_pruned, regenerated)

@@ -59,6 +59,7 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
 
 
 def save(path, arrays: dict, meta: dict):
+    """A value (n, packed) is a flat bool entry of n values, packed already."""
     meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_write(path) as f:
         crc = 0
@@ -73,17 +74,18 @@ def save(path, arrays: dict, meta: dict):
         put(meta_blob)
         put(struct.pack("<Q", len(arrays)))
         for name in sorted(arrays):
-            arr = np.asarray(arrays[name])
-            if arr.dtype == np.bool_:
-                code, data = BOOL, np.packbits(arr.reshape(-1)).tobytes()
+            arr = arrays[name]
+            if isinstance(arr, tuple):
+                shape, code, data = (arr[0],), BOOL, arr[1].tobytes()
+            elif (arr := np.asarray(arr)).dtype == np.bool_:
+                shape, code, data = arr.shape, BOOL, np.packbits(arr.reshape(-1)).tobytes()
             else:
-                arr = np.ascontiguousarray(arr, dtype=np.float64)
-                code, data = FLOAT, arr.astype("<f8").tobytes()
+                shape, code, data = arr.shape, FLOAT, arr.astype("<f8").tobytes()
             blob = name.encode("utf-8")
             put(struct.pack("<I", len(blob)))
             put(blob)
-            put(struct.pack("<I", arr.ndim))
-            put(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+            put(struct.pack("<I", len(shape)))
+            put(struct.pack(f"<{len(shape)}Q", *shape))
             put(code)
             put(data)
         f.write(struct.pack("<I", crc))

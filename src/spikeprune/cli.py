@@ -43,7 +43,6 @@ from .train import (
     Trainer,
     load_run_state,
     meta_entry,
-    restore_rng,
     save_run_state,
     write_csv,
 )
@@ -191,7 +190,7 @@ def cmd_prune_unstructured(args) -> int:
         # state already accounts for everything up to the end of pretraining
         data = load_dataset(cfg.dataset_spec(), np.random.default_rng(cfg.seed))
         rng = np.random.default_rng(cfg.seed)
-        meta_entry(args.resume, meta, "rng_state", lambda state: restore_rng(rng, state))
+        meta_entry(args.resume, meta, "rng_state", lambda s: setattr(rng.bit_generator, "state", s))
     else:
         rng, data, net = _fresh_run(cfg)
 
@@ -209,7 +208,8 @@ def cmd_prune_unstructured(args) -> int:
               [(e.iteration, e.step, e.s_t, e.s_prime, e.k, e.rescue_fraction,
                 e.train_acc) for e in res.events])
 
-    hist_arrays = {f"it{i:04d}.{name}": m for i, pair in enumerate(res.mask_history, start=1)
+    hist_arrays = {f"it{i:04d}.{name}": (res.mask.size, m)
+                   for i, pair in enumerate(res.mask_history, start=1)
                    for name, m in zip(("post_prune", "post_regen"), pair)}
     checkpoint.save(_in(out, "mask_history.ckpt"), hist_arrays,
                     {"iterations": len(res.mask_history), "total": res.mask.size})
@@ -347,7 +347,7 @@ def cmd_analyze(args) -> int:
             if name not in arrays or arrays[name].shape != (total,):
                 raise ValueError(f"{hist_path}: the mask history has no entry {name!r} "
                                  f"of {total} mask bits")
-            return arrays[name]
+            return arrays[name].astype(bool, copy=False)    # a version-1 file holds floats
 
         history = [(entry(f"it{i:04d}.post_prune"), entry(f"it{i:04d}.post_regen"))
                    for i in range(1, iterations + 1)]

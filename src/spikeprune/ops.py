@@ -8,8 +8,9 @@ window view of the input, followed by a single matrix product, so the
 accumulation order is the fixed reduction over the kh*kw*Cin axis; the
 weight gradient is one more product with the same patch matrix.
 Pooling and the scatter half of the convolution backward iterate window
-offsets in a fixed (i, j) order. All kernels are pure functions: identical
-inputs give bit-identical outputs.
+offsets in a fixed (i, j) order; a pooling backward whose windows tile its
+input writes each gradient element once, the value those adds give. All
+kernels are pure functions: identical inputs give bit-identical outputs.
 
 Each kernel is written over a range of its samples (the input-grad half of
 conv2d_grad over a range of input channels) and runs through cores.halves:
@@ -239,10 +240,15 @@ def avgpool2d_grad(upstream: np.ndarray, x_shape: tuple, window: int,
         raise DimensionError(
             f"upstream shape {upstream.shape} does not match pool output ({n}, {oh}, {ow}, {c})"
         )
-    dx = np.zeros(x_shape)
+    tiles = stride == window and h == oh * window and w == ow * window
+    dx = (np.empty if tiles else np.zeros)(x_shape)
 
     def samples(lo, hi):
         share = upstream[lo:hi] / (window * window)
+        if tiles:               # each element of dx is written once
+            share += 0.0        # -0.0 -> +0.0, as an add into zeros gives
+            dx[lo:hi].reshape(hi - lo, oh, window, ow, window, c)[:] = share[:, :, None, :, None]
+            return
         for i in range(window):
             for j in range(window):
                 dx[lo:hi, i:i + stride * oh:stride, j:j + stride * ow:stride] += share

@@ -121,14 +121,6 @@ class Trainer:
 # Full-state checkpoints
 # ---------------------------------------------------------------------------
 
-def rng_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
-
-
-def restore_rng(rng: np.random.Generator, state: dict):
-    rng.bit_generator.state = state
-
-
 def save_run_state(path, net: SpikingNetwork, meta_extra: dict | None = None,
                    mask: np.ndarray | None = None, rng: np.random.Generator | None = None):
     """Write parameters, running statistics and, given a bool prune mask over
@@ -139,7 +131,7 @@ def save_run_state(path, net: SpikingNetwork, meta_extra: dict | None = None,
             arrays[f"mask/{name}"] = m
     meta = {"network": net.spec.to_dict()}
     if rng is not None:
-        meta["rng_state"] = rng_state(rng)
+        meta["rng_state"] = rng.bit_generator.state
     if meta_extra:
         meta.update(meta_extra)
     checkpoint.save(path, arrays, meta)

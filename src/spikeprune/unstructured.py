@@ -45,9 +45,8 @@ class SparsitySchedule:
 def current_sparsity(sched: SparsitySchedule) -> float:
     """s_t = s_f - s_f*(1 - n*delta_t/t_f)^3, monotone non-decreasing in n."""
     if sched.n * sched.delta_t > sched.t_f:
-        raise ArgumentError(
-            f"iteration {sched.n} is past the schedule end ({sched.t_f} steps)"
-        )
+        raise ArgumentError(f"iteration {sched.n} is past the schedule end "
+                            f"({sched.t_f} steps)")
     frac = sched.n * sched.delta_t / sched.t_f
     return sched.s_f - sched.s_f * (1.0 - frac) ** 3
 
@@ -122,11 +121,10 @@ def regenerate(mask: np.ndarray, weights: np.ndarray, scores: np.ndarray,
     snapshot value: the pre-prune weight for ones cut this iteration, 0 for
     ones cut earlier. Returns the flat indices regenerated, ascending.
     """
-    is_pruned = ~mask
-    pruned = np.flatnonzero(is_pruned)
+    pruned = np.flatnonzero(~mask)
     if k > pruned.size:
         raise ArgumentError(f"k={k} exceeds pruned count {pruned.size}")
-    counts = np.add.reduceat(is_pruned, np.cumsum(lengths) - lengths, dtype=np.intp)
+    counts = np.diff(np.searchsorted(pruned, np.cumsum(lengths)), prepend=0)
     order = np.argsort(-scores, kind="stable")
     cut = scores[order[np.searchsorted(np.cumsum(counts[order]), k)]]
     taken = np.repeat(scores > cut, counts)
@@ -157,7 +155,12 @@ class PruneRunResult:
     ledger: SurvivalLedger
     events: list
     epoch_rows: list
-    mask_history: list          # (post_prune, post_regen) flat bool pairs
+    mask_history: list          # (post_prune, post_regen) np.packbits of the mask per event
+
+    def unpacked_history(self):
+        """The mask history as flat bool pairs, unpacked one pair at a time."""
+        for pair in self.mask_history:
+            yield tuple(np.unpackbits(m, count=self.mask.size).view(bool) for m in pair)
 
 
 def prune_loop(net, trainer, sched: SparsitySchedule, epochs: int,
@@ -187,7 +190,7 @@ def prune_loop(net, trainer, sched: SparsitySchedule, epochs: int,
         s_prime = s_t if gmp_only else extend_sparsity(s_t, sched.r)
         snapshot = weights.copy()
         newly = prune_global_magnitude(weights, mask, s_prime)
-        post_prune = mask.copy()
+        post_prune = np.packbits(mask)
         k, chosen = 0, np.empty(0, dtype=np.intp)
         if not gmp_only:
             scores = network_connection_scores(
@@ -195,7 +198,7 @@ def prune_loop(net, trainer, sched: SparsitySchedule, epochs: int,
             k = round_half_up((1.0 - s_t) * mask.size) - int(np.count_nonzero(mask))
             chosen = regenerate(mask, weights, scores, runs.lengths, snapshot, k)
         ledger.on_iteration(sched.n, newly, chosen)
-        history.append((post_prune, mask.copy()))
+        history.append((post_prune, np.packbits(mask)))
         events.append(PruneEvent(sched.n, step, s_t, s_prime, int(k),
                                  ledger.records[-1]["rescue_fraction"], acc, sparsity(mask)))
 

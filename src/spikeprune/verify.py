@@ -466,7 +466,7 @@ def check_survival_replay():
     sched = SparsitySchedule(s_f=0.9, delta_t=3, t_f=t_f, r=0.4)
     res = prune_loop(net, trainer, sched, epochs=5)
     live = survival_report(res.ledger, res.mask)
-    replayed = replay_mask_history(np.ones(res.mask.size, dtype=bool), res.mask_history)
+    replayed = replay_mask_history(np.ones(res.mask.size, dtype=bool), res.unpacked_history())
     if live != replayed:
         return False, "recomputed survival report differs from live ledger"
 
@@ -490,8 +490,7 @@ def check_checkpoint_roundtrip(tmp_dir):
     rng = np.random.default_rng(7)
     arrays = {"w": rng.normal(size=(3, 5)), "mask/w": rng.random((3, 5)) < 0.5}
     meta = {"note": "roundtrip", "nested": {"a": 1}}
-    p1 = Path(tmp_dir, "first.ckpt")
-    p2 = Path(tmp_dir, "second.ckpt")
+    p1, p2 = Path(tmp_dir, "first.ckpt"), Path(tmp_dir, "second.ckpt")
     checkpoint.save(p1, arrays, meta)
     loaded, meta2 = checkpoint.load(p1)
     checkpoint.save(p2, loaded, meta2)

@@ -140,8 +140,7 @@ class TestSurvival:
         sched = SparsitySchedule(s_f=0.9, delta_t=3, t_f=t_f, r=0.4)
         res = prune_loop(net, trainer, sched, epochs=5)
         live = survival_report(res.ledger, res.mask)
-        replayed = replay_mask_history(np.ones(res.mask.size, dtype=bool),
-                                       res.mask_history)
+        replayed = replay_mask_history(np.ones(res.mask.size, dtype=bool), res.unpacked_history())
         assert live == replayed
 
     def test_provenance_cleared_on_reprune(self):

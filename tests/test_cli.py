@@ -152,6 +152,26 @@ class TestSubcommands:
         allowance = 256 + 64 * len(arrays)
         assert hist.stat().st_size <= 2 * -(-n // 8) * iterations + allowance
 
+    def test_mask_history_is_the_save_of_the_unpacked_masks(self, tiny_cfg, monkeypatch):
+        """The run writes its packed history as the very bytes checkpoint.save
+        writes from the same masks unpacked to bool."""
+        cfg, root = tiny_cfg
+        results, run = [], cli.prune_loop
+
+        def recording(*a, **kw):
+            results.append(run(*a, **kw))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "prune_loop", recording)
+        main(["prune-unstructured", "--config", cfg, "--out", str(root / "u")])
+        (res,) = results
+        masks = {f"it{i:04d}.{name}": m for i, pair in enumerate(res.unpacked_history(), start=1)
+                 for name, m in zip(("post_prune", "post_regen"), pair)}
+        assert all(m.dtype == bool for m in masks.values())
+        checkpoint.save(root / "bool.ckpt", masks,
+                        {"iterations": len(res.mask_history), "total": res.mask.size})
+        assert read(root / "bool.ckpt") == read(root / "u" / "mask_history.ckpt")
+
     def test_analyze_survival_reads_v1_history(self, tiny_cfg):
         """A version-1 (float64) mask history replays to the same report."""
         cfg, root = tiny_cfg

@@ -207,6 +207,33 @@ class TestFiniteDifferences:
         assert rel_err(gx, central_diff(loss, x)) <= 1e-6
 
 
+def pool_grad_adds(gy, x_shape, window, stride):
+    """avgpool2d_grad as strided adds of the window share into zeros."""
+    n, h, w, c = x_shape
+    oh, ow = ops.conv_out_hw(h, w, window, window, stride, 0)
+    dx = np.zeros(x_shape)
+    share = gy / (window * window)
+    for i in range(window):
+        for j in range(window):
+            dx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += share
+    return dx
+
+
+@pytest.mark.parametrize("x_shape,window,stride", [
+    ((3, 4, 6, 2), 2, 2), ((2, 9, 9, 3), 3, 3), ((2, 7, 7, 1), 7, 7),   # windows tile
+    ((2, 5, 7, 2), 2, 2), ((2, 4, 4, 2), 2, 1), ((1, 7, 6, 2), 3, 2)])  # they do not
+def test_avgpool_grad_is_the_strided_adds_bit_for_bit(x_shape, window, stride):
+    n, h, w, c = x_shape
+    oh, ow = ops.conv_out_hw(h, w, window, window, stride, 0)
+    gy = np.random.default_rng(21).uniform(-1, 1, (n, oh, ow, c))
+    gy.flat[::3] = -0.0
+    got = ops.avgpool2d_grad(gy, x_shape, window, stride)
+    want = pool_grad_adds(gy, x_shape, window, stride)
+    assert not np.signbit(got[got == 0.0]).any()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got.tobytes() == want.tobytes()
+
+
 def conv_loops(x, w, stride, padding, gy):
     """Direct-loop convolution on x [N, H, W, Cin]: (out, dX, dW) for upstream gy."""
     n, h, wd, cin = x.shape

@@ -2,6 +2,8 @@
 iterative prune-loop driver, each checked against independent oracles.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -372,10 +374,30 @@ class TestPruneLoop:
         net, trainer, _ = tiny_run(seed=14)
         res = prune_loop(net, trainer, self._sched(trainer, delta_t=2, prune_epochs=3),
                          epochs=5)
+        masks = list(res.unpacked_history())
         for epoch, row in enumerate(res.epoch_rows):
             done = sum(ev.step <= (epoch + 1) * trainer.steps_per_epoch for ev in res.events)
-            assert row[-1] == (sparsity(res.mask_history[done - 1][1]) if done else 0.0)
+            assert row[-1] == (sparsity(masks[done - 1][1]) if done else 0.0)
         assert res.epoch_rows[-1][-1] == sparsity(res.mask)
+
+    def test_history_holds_two_packed_masks_per_event(self):
+        """Dropping the history a prune_loop returns frees the two np.packbits
+        masks of each event, ceil(n/8) bytes each, and no more than a fixed
+        allowance per event besides (the list slot, the pair, two array
+        headers): a bool copy would take n bytes a mask."""
+        net, trainer, _ = tiny_run(seed=16, channels=(8, 16))
+        tracemalloc.start()
+        try:
+            res = prune_loop(net, trainer, self._sched(trainer, delta_t=1, prune_epochs=3),
+                             epochs=4)
+            held = tracemalloc.get_traced_memory()[0]
+            res.mask_history = None
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        packed = 2 * -(-res.mask.size // 8) * len(res.events)
+        assert len(res.events) == 9 and res.mask.size > 1000
+        assert packed <= freed <= packed + 512 * len(res.events)
 
     def test_run_epochs_without_mask_writes_zero_sparsity(self):
         net, trainer, _ = tiny_run(seed=15)
